@@ -1,5 +1,6 @@
 #include "common/fault_injection.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <thread>
@@ -43,9 +44,23 @@ Result<StatusCode> CodeFromName(const std::string& name) {
 
 using fault_internal::kFastTlsSlots;
 using fault_internal::kOrdinalBlock;
-using fault_internal::t_fast_blocks;
-using fault_internal::TlsOrdinalBlock;
+using fault_internal::QuietWord;
+using fault_internal::t_quiet;
 
+/// Reserved range of hit ordinals for one (thread, point) pair, used by the
+/// counting triggers (nth / every-nth). Threads reserve blocks from the
+/// point's shared dispenser so the contended fetch_add happens once per
+/// kOrdinalBlock hits. `next` is the last ordinal taken out of line; the
+/// `granted` ordinals after it were handed to the inline quiet run.
+struct TlsOrdinalBlock {
+  uint64_t start = 0;
+  uint64_t next = 0;
+  uint64_t end = 0;
+  uint32_t granted = 0;
+  uint32_t epoch = 0;
+};
+
+thread_local TlsOrdinalBlock t_fast_blocks[kFastTlsSlots];
 /// Spillover block table for points registered past the flat TLS array.
 thread_local std::vector<TlsOrdinalBlock> t_overflow_blocks;
 
@@ -95,7 +110,12 @@ uint64_t FaultPoint::hits() const {
 
 uint64_t FaultPoint::NextOrdinal() {
   TlsOrdinalBlock& block = OrdinalBlockForSlot(tls_slot_);
+  uint64_t& quiet = t_quiet[quiet_slot_];
   const uint32_t epoch = epoch_.load(std::memory_order_relaxed);
+  if (block.epoch == epoch) {
+    // Account for the ordinals the inline path consumed since the last visit.
+    block.next += block.granted - static_cast<uint32_t>(quiet);
+  }
   if (block.epoch != epoch || block.next == block.end) {
     if (block.epoch == epoch && block.next > block.start) {
       // Retire the exhausted block's consumed count into the striped stats.
@@ -109,16 +129,39 @@ uint64_t FaultPoint::NextOrdinal() {
         ordinal_.fetch_add(kOrdinalBlock, std::memory_order_relaxed);
     block.end = block.start + kOrdinalBlock;
   }
-  return ++block.next;  // 1-based
+  const uint64_t ordinal = ++block.next;  // 1-based
+  // The ordinals up to the next one that could fire (or the block's end)
+  // go to the inline path.
+  uint64_t until = block.end;
+  if (spec_.trigger == FaultSpec::Trigger::kNth) {
+    if (spec_.nth > ordinal && spec_.nth <= block.end) until = spec_.nth - 1;
+  } else if (spec_.nth > 0) {
+    const uint64_t next_fire = (ordinal / spec_.nth + 1) * spec_.nth;
+    if (next_fire <= block.end) until = next_fire - 1;
+  }
+  block.granted = 0;
+  if (quiet_slot_ < kFastTlsSlots) {
+    block.granted = static_cast<uint32_t>(until - ordinal);
+    quiet = QuietWord(epoch, block.granted);
+  }
+  return ordinal;
 }
 
 void FaultPoint::ResetCountersLocked() {
-  epoch_.fetch_add(1, std::memory_order_relaxed);
+  // Epoch 0 is the disarmed guard value; skip it on wrap-around.
+  if (epoch_.fetch_add(1, std::memory_order_relaxed) + 1 == 0) {
+    epoch_.fetch_add(1, std::memory_order_relaxed);
+  }
   ordinal_.store(0, std::memory_order_relaxed);
   fires_.store(0, std::memory_order_relaxed);
   for (StatShard& s : stat_shards_) {
     s.hits.store(0, std::memory_order_relaxed);
   }
+}
+
+void FaultPoint::ArmInCurrentEpoch() {
+  armed_epoch_.store(epoch_.load(std::memory_order_relaxed),
+                     std::memory_order_release);
 }
 
 Status FaultPoint::FireSlow(std::string_view payload) {
@@ -190,6 +233,7 @@ FaultPoint* FaultInjector::RegisterPoint(std::string_view name) {
   auto* point = new FaultPoint(std::string(name));  // process-lifetime
   point->seed_ = seed_ ^ StableHash64(point->name());
   point->tls_slot_ = g_next_tls_slot.fetch_add(1, std::memory_order_relaxed);
+  point->quiet_slot_ = std::min(point->tls_slot_, kFastTlsSlots);
   points_.emplace(point->name(), point);
   return point;
 }
@@ -199,7 +243,7 @@ void FaultInjector::Arm(const std::string& point, FaultSpec spec) {
   std::lock_guard<std::mutex> lock(mu_);
   // Quiesce the point before rewriting its spec: Fire() reads spec_/seed_
   // without a lock, guarded only by the armed flag.
-  bool was_armed = p->armed_.exchange(false, std::memory_order_acq_rel);
+  bool was_armed = p->armed_epoch_.exchange(0, std::memory_order_acq_rel) != 0;
   {
     std::lock_guard<std::mutex> plock(p->mu_);
     p->spec_ = spec;
@@ -208,14 +252,14 @@ void FaultInjector::Arm(const std::string& point, FaultSpec spec) {
     p->ResetCountersLocked();
   }
   if (!was_armed) armed_count_.fetch_add(1, std::memory_order_relaxed);
-  p->armed_.store(true, std::memory_order_release);
+  p->ArmInCurrentEpoch();
 }
 
 void FaultInjector::Disarm(const std::string& point) {
   std::lock_guard<std::mutex> lock(mu_);
   FaultPoint* p = FindLocked(point);
   if (p == nullptr) return;
-  if (p->armed_.exchange(false, std::memory_order_acq_rel)) {
+  if (p->armed_epoch_.exchange(0, std::memory_order_acq_rel) != 0) {
     armed_count_.fetch_sub(1, std::memory_order_relaxed);
   }
 }
@@ -223,7 +267,7 @@ void FaultInjector::Disarm(const std::string& point) {
 void FaultInjector::DisarmAll() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, p] : points_) {
-    if (p->armed_.exchange(false, std::memory_order_acq_rel)) {
+    if (p->armed_epoch_.exchange(0, std::memory_order_acq_rel) != 0) {
       armed_count_.fetch_sub(1, std::memory_order_relaxed);
     }
   }
@@ -233,14 +277,14 @@ void FaultInjector::Reseed(uint64_t seed) {
   std::lock_guard<std::mutex> lock(mu_);
   seed_ = seed;
   for (auto& [name, p] : points_) {
-    bool was_armed = p->armed_.exchange(false, std::memory_order_acq_rel);
+    bool was_armed = p->armed_epoch_.exchange(0, std::memory_order_acq_rel) != 0;
     {
       std::lock_guard<std::mutex> plock(p->mu_);
       p->seed_ = seed ^ StableHash64(p->name());
       p->rng_ = Rng(p->seed_);
       p->ResetCountersLocked();
     }
-    if (was_armed) p->armed_.store(true, std::memory_order_release);
+    if (was_armed) p->ArmInCurrentEpoch();
   }
 }
 

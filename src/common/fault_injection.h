@@ -111,29 +111,28 @@ struct FaultSpec {
 
 namespace fault_internal {
 
-/// Reserved range of hit ordinals for one (thread, point) pair, used by the
-/// counting triggers (nth / every-nth). Threads reserve small blocks from the
-/// point's shared dispenser so the contended fetch_add happens once per
-/// kOrdinalBlock hits; the inline armed fast path only ever touches the
-/// thread's own block.
-struct TlsOrdinalBlock {
-  uint64_t start = 0;
-  uint64_t next = 0;
-  uint64_t end = 0;
-  uint32_t epoch = 0;
-};
-
 /// How many ordinals a thread reserves per trip to the shared dispenser.
 /// Small enough that a thread strands at most a block's worth of ordinals
 /// when it exits mid-block, large enough to amortize the shared RMW away.
 inline constexpr uint64_t kOrdinalBlock = 64;
 
-/// Per-thread block table, indexed by FaultPoint::tls_slot_ (registration
-/// order, process-global). The first slots live in a flat thread_local array
-/// — one indexed load on the armed hot path, no vector indirection — with a
-/// vector spillover (in the .cc) for processes registering more points.
+/// The inline part of a thread's ordinal block for one point, packed into
+/// one word: the arming epoch the block belongs to (high half) and how many
+/// more hits it can absorb before the next hit that could fire (low half).
+/// The counting triggers (nth / every-nth) precompute that run of "quiet"
+/// hits when the block is refilled, so an armed-but-idle hit is one compare
+/// and a decrement. Eight points share a cache line; the rest of the block
+/// lives out of line (in the .cc).
+inline constexpr uint64_t QuietWord(uint32_t epoch, uint32_t quiet) {
+  return (uint64_t{epoch} << 32) | quiet;
+}
+
+/// Per-thread quiet-run table, indexed by FaultPoint::quiet_slot_
+/// (registration order, process-global). Points registered past
+/// kFastTlsSlots share the last word, which never holds a quiet run, so
+/// they take the out-of-line path on every hit.
 inline constexpr uint32_t kFastTlsSlots = 128;
-inline thread_local TlsOrdinalBlock t_fast_blocks[kFastTlsSlots];
+inline thread_local uint64_t t_quiet[kFastTlsSlots + 1];
 
 }  // namespace fault_internal
 
@@ -153,8 +152,10 @@ class FaultPoint {
   FaultPoint& operator=(const FaultPoint&) = delete;
 
   const std::string& name() const { return name_; }
-  /// Hot-path guard: one relaxed atomic load.
-  bool armed() const { return armed_.load(std::memory_order_relaxed); }
+  /// The epoch this point is armed in, or 0 while disarmed. The hot-path
+  /// guard: one relaxed atomic load, whose value the armed path reuses.
+  uint32_t armed_epoch() const { return armed_epoch_.load(std::memory_order_relaxed); }
+  bool armed() const { return armed_epoch() != 0; }
 
   /// Records a hit and applies the armed spec. Returns the injected error
   /// when the hit fires (OK for delay-only faults, after sleeping).
@@ -163,28 +164,24 @@ class FaultPoint {
   /// Like Fire(), but probability triggers decide by hashing seed ^ payload
   /// instead of consuming the shared RNG stream — deterministic per payload
   /// under concurrency.
-  ///
-  /// Inlined fast path: an armed counting trigger (nth / every-nth) whose
-  /// hit does not fire and whose thread still holds ordinals in its block —
-  /// the overwhelmingly common case for an armed-but-idle point — costs one
-  /// branch and a thread-local increment, with every shared field read off
-  /// the same cache line as the armed_ guard. Everything else (block refill,
-  /// always/probability triggers, actual fires) takes the out-of-line path.
   Status FireKeyed(std::string_view payload) {
-    const FaultSpec::Trigger trig = spec_.trigger;
-    if ((trig == FaultSpec::Trigger::kNth ||
-         trig == FaultSpec::Trigger::kEveryNth) &&
-        tls_slot_ < fault_internal::kFastTlsSlots) {
-      fault_internal::TlsOrdinalBlock& block =
-          fault_internal::t_fast_blocks[tls_slot_];
-      if (block.epoch == epoch_.load(std::memory_order_relaxed) &&
-          block.next != block.end) {
-        const uint64_t ordinal = ++block.next;  // 1-based
-        const bool fire = trig == FaultSpec::Trigger::kNth
-                              ? ordinal == spec_.nth
-                              : spec_.nth > 0 && ordinal % spec_.nth == 0;
-        return fire ? Fired() : Status::OK();
-      }
+    return FireArmed(armed_epoch(), payload);
+  }
+
+  /// FireKeyed for a caller that has already loaded armed_epoch() (the
+  /// IDEA_FAULT_HIT macros). Inlined fast path: a hit inside its thread's
+  /// precomputed quiet run — the overwhelmingly common case for an
+  /// armed-but-idle counting trigger (nth / every-nth) — costs one compare
+  /// and a thread-local decrement, reading only the cache line the guard
+  /// already loaded. Everything else (block refill, the hit that may fire,
+  /// always/probability triggers) takes the out-of-line path.
+  Status FireArmed(uint32_t epoch, std::string_view payload) {
+    uint64_t& quiet = fault_internal::t_quiet[quiet_slot_];
+    // In this epoch's run iff quiet - QuietWord(epoch, 1) is in [0, 2^32 - 1):
+    // the high halves match and the low half (hits left) is non-zero.
+    if (quiet - fault_internal::QuietWord(epoch, 1) < 0xffffffffu) [[likely]] {
+      --quiet;
+      return Status::OK();
     }
     return FireSlow(payload);
   }
@@ -210,27 +207,31 @@ class FaultPoint {
   Status Fired();
 
   /// Next 1-based hit ordinal for the counting triggers (kNth/kEveryNth),
-  /// refilling the thread's block from the shared dispenser when exhausted.
-  /// Every ordinal is handed out exactly once, which keeps "the nth hit
-  /// fires once" exact; ordering across threads is approximate, and on a
+  /// refilling the thread's block from the shared dispenser when exhausted,
+  /// and granting the inline path the run of following ordinals that cannot
+  /// fire. Every ordinal is handed out exactly once, which keeps "the nth
+  /// hit fires once" exact; ordering across threads is approximate, and on a
   /// single thread ordinals are the familiar 1, 2, 3, ...
   uint64_t NextOrdinal();
   /// Zeroes hits/fires/ordinals and invalidates outstanding thread-local
   /// ordinal blocks (via the epoch). Called under mu_ while disarmed.
   void ResetCountersLocked();
+  /// Arms the point in the current epoch (never 0, which means disarmed).
+  void ArmInCurrentEpoch();
 
-  // Hot line: everything an armed-but-idle hit reads — the guard, the
-  // trigger spec, the thread-local-block slot, and (for the counting
-  // triggers) the block-invalidation epoch — shares the cache line the
-  // disarmed path already loads, so arming a point adds no cache-line
-  // traffic beyond the thread's own ordinal block. spec_ and seed_ are
-  // written only while disarmed (Arm/Reseed flip armed_ off around the
-  // write), so Fire() reads them without the mutex.
-  std::atomic<bool> armed_{false};
-  uint32_t tls_slot_ = 0;           // index into the per-thread block table
-  std::atomic<uint32_t> epoch_{0};  // bumped on Arm/Reseed to drop old blocks
+  // Hot line: everything an armed-but-idle hit reads — the guard (which
+  // doubles as the block-invalidation epoch) and the thread-local slot —
+  // shares the cache line the disarmed path already loads, so arming a
+  // point adds no cache-line traffic beyond the thread's own quiet-run
+  // word. spec_ and seed_ are written only while disarmed (Arm/Reseed zero
+  // armed_epoch_ around the write), so Fire() reads them without the mutex.
+  std::atomic<uint32_t> armed_epoch_{0};  // epoch_ while armed, else 0
+  uint32_t quiet_slot_ = 0;  // index into t_quiet (kFastTlsSlots: no run)
+  uint32_t tls_slot_ = 0;    // index into the per-thread block tables
+  // Bumped on Arm/Reseed to drop old blocks; never 0 once armed.
+  std::atomic<uint32_t> epoch_{0};
+  // Warm: read per out-of-line hit (block refill, fire), not per quiet hit.
   FaultSpec spec_;
-  // Warm: read per ordinal-block refill or on fire, not per hit.
   uint64_t seed_ = 0;
   std::atomic<uint64_t> fires_{0};
   // Block dispenser for the counting triggers, on its own cache line so its
@@ -315,7 +316,10 @@ class FaultInjector {
   ([]() -> ::idea::Status {                                                 \
     static ::idea::common::FaultPoint* _idea_fp =                           \
         ::idea::common::FaultInjector::Default().RegisterPoint(name);       \
-    return _idea_fp->armed() ? _idea_fp->Fire() : ::idea::Status::OK();     \
+    const uint32_t _idea_epoch = _idea_fp->armed_epoch();                   \
+    return _idea_epoch != 0                                                 \
+               ? _idea_fp->FireArmed(_idea_epoch, ::std::string_view())     \
+               : ::idea::Status::OK();                                      \
   }())
 
 /// Keyed variant: probability triggers decide per `payload` (deterministic
@@ -324,6 +328,7 @@ class FaultInjector {
   ([](::std::string_view _idea_key) -> ::idea::Status {                     \
     static ::idea::common::FaultPoint* _idea_fp =                           \
         ::idea::common::FaultInjector::Default().RegisterPoint(name);       \
-    return _idea_fp->armed() ? _idea_fp->FireKeyed(_idea_key)               \
-                             : ::idea::Status::OK();                        \
+    const uint32_t _idea_epoch = _idea_fp->armed_epoch();                   \
+    return _idea_epoch != 0 ? _idea_fp->FireArmed(_idea_epoch, _idea_key)   \
+                            : ::idea::Status::OK();                         \
   }(payload))

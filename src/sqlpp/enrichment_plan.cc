@@ -44,9 +44,10 @@ struct EnrichmentPlan::PathImpl : public FromAccessPath {
   std::string dataset;
   std::string ref_field;             // key/geometry field of the reference dataset
   const Expr* probe_expr = nullptr;  // borrowed from the plan-owned body AST
-  /// The WHERE equality conjunct a hash build+probe selects candidates by.
-  /// Candidate selection (Value::Compare on a non-unknown probe key against
-  /// build keys that skip unknowns) is exactly the conjunct's `=` semantics,
+  /// The WHERE equality conjunct a hash build+probe or an equality index
+  /// probe selects candidates by. Candidate selection (Value::Compare on a
+  /// non-unknown probe key against build or B-tree keys that skip unknowns,
+  /// live or from the probe memo) is exactly the conjunct's `=` semantics,
   /// so the evaluator may treat it as true for every emitted candidate.
   const Expr* satisfied_conjunct = nullptr;
   /// Spatial probes matched from spatial_intersect(create_circle(ref.field, R),
@@ -394,9 +395,7 @@ struct EnrichmentPlan::PathImpl : public FromAccessPath {
     return Status::Internal("unreachable access-path kind");
   }
 
-  const Expr* SatisfiedConjunct() const override {
-    return kind == AccessPathKind::kHashBuildProbe ? satisfied_conjunct : nullptr;
-  }
+  const Expr* SatisfiedConjunct() const override { return satisfied_conjunct; }
 
   std::string Describe() const override {
     return StringPrintf("%s on %s.%s", AccessPathKindName(kind), dataset.c_str(),
@@ -485,7 +484,7 @@ struct PlannedPath {
   AccessPathKind kind;
   std::string field;
   const Expr* probe;
-  const Expr* conjunct;  // hash-probe-satisfied WHERE conjunct (else nullptr)
+  const Expr* conjunct;  // equality-probe-satisfied WHERE conjunct (else nullptr)
   double expand;
 };
 
@@ -616,7 +615,7 @@ struct Planner {
                        (config->prefer_index || fc.hints.force_index);
       kind = use_index ? AccessPathKind::kIndexNestedLoopEq
                        : AccessPathKind::kHashBuildProbe;
-      if (kind == AccessPathKind::kHashBuildProbe) conjunct = m.conjunct;
+      conjunct = m.conjunct;
     } else if (m.found && m.spatial) {
       auto idx = datasets->GetIndexProbe(fc.dataset, m.field);
       if (idx != nullptr && idx->kind() == IndexProbe::Kind::kSpatial &&

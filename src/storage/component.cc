@@ -2,42 +2,41 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 
 namespace idea::storage {
 
-SortedComponent::SortedComponent(uint64_t id, std::vector<Row> rows)
-    : id_(id), rows_(std::move(rows)) {
+SortedComponent::SortedComponent(std::vector<Row> rows) : rows_(std::move(rows)) {
   for (size_t i = 0; i + 1 < rows_.size(); ++i) {
     assert(adm::Value::Compare(rows_[i].first, rows_[i + 1].first) < 0 &&
            "component rows must be strictly key-sorted");
   }
-  for (const auto& [k, e] : rows_) {
-    bytes_ += k.EstimateSize() + e.record.EstimateSize() + 48;
-  }
 }
 
-std::shared_ptr<const SortedComponent> SortedComponent::FromMemTable(
-    uint64_t id, const MemTable& mem) {
+std::unique_ptr<const SortedComponent> SortedComponent::FromMemTable(MemTable* mem) {
+  MemTable::Entries entries = mem->Take();
   std::vector<Row> rows;
-  rows.reserve(mem.entry_count());
-  for (const auto& [k, e] : mem.entries()) rows.emplace_back(k, e);
-  return std::make_shared<const SortedComponent>(id, std::move(rows));
+  rows.reserve(entries.size());
+  while (!entries.empty()) {
+    auto node = entries.extract(entries.begin());
+    rows.emplace_back(std::move(node.key()), std::move(node.mapped()));
+  }
+  return std::make_unique<const SortedComponent>(std::move(rows));
 }
 
-std::shared_ptr<const SortedComponent> SortedComponent::Merge(
-    uint64_t id,
-    const std::vector<std::shared_ptr<const SortedComponent>>& oldest_first) {
-  // Oldest-to-newest overwrite merge. Tombstones survive the merge (a full
-  // compaction could drop them; kept so newer merges stay correct).
-  std::map<adm::Value, RecordEntry> merged;
+std::unique_ptr<const SortedComponent> SortedComponent::Merge(
+    const std::vector<std::unique_ptr<const SortedComponent>>& oldest_first) {
+  RunMerger merger;
+  size_t total = 0;
   for (const auto& comp : oldest_first) {
-    for (const auto& [k, e] : comp->rows()) merged[k] = e;
+    merger.Add(comp->rows());
+    total += comp->size();
   }
   std::vector<Row> rows;
-  rows.reserve(merged.size());
-  for (auto& [k, e] : merged) rows.emplace_back(k, std::move(e));
-  return std::make_shared<const SortedComponent>(id, std::move(rows));
+  rows.reserve(total);
+  const adm::Value* key;
+  const RecordEntry* entry;
+  while (merger.Next(&key, &entry)) rows.emplace_back(*key, *entry);
+  return std::make_unique<const SortedComponent>(std::move(rows));
 }
 
 const RecordEntry* SortedComponent::Get(const adm::Value& key) const {
@@ -47,6 +46,48 @@ const RecordEntry* SortedComponent::Get(const adm::Value& key) const {
       });
   if (it == rows_.end() || adm::Value::Compare(it->first, key) != 0) return nullptr;
   return &it->second;
+}
+
+void RunMerger::Add(const std::vector<SortedComponent::Row>& rows) {
+  Cursor c;
+  c.row = rows.data();
+  c.row_end = rows.data() + rows.size();
+  runs_.push_back(c);
+}
+
+void RunMerger::Add(const MemTable::Entries& entries) {
+  Cursor c;
+  c.mem = entries.begin();
+  c.mem_end = entries.end();
+  c.in_mem = true;
+  runs_.push_back(c);
+}
+
+bool RunMerger::Next(const adm::Value** key, const RecordEntry** entry) {
+  for (;;) {
+    if (returned_ < runs_.size()) runs_[returned_].Advance();
+    returned_ = static_cast<size_t>(-1);
+    // The newest run holding the smallest key wins. Scanning oldest first, a
+    // run that ties with the current best holds an older version of the
+    // same key, which the newer run shadows: step it past that key.
+    Cursor* best = nullptr;
+    for (Cursor& c : runs_) {
+      if (c.done()) continue;
+      if (best != nullptr) {
+        const int cmp = adm::Value::Compare(c.key(), best->key());
+        if (cmp > 0) continue;
+        if (cmp == 0) best->Advance();
+      }
+      best = &c;
+    }
+    if (best == nullptr) return false;
+    returned_ = static_cast<size_t>(best - runs_.data());
+    if (!best->entry().tombstone()) {
+      *key = &best->key();
+      *entry = &best->entry();
+      return true;
+    }
+  }
 }
 
 }  // namespace idea::storage

@@ -1,7 +1,5 @@
 #include "storage/lsm_dataset.h"
 
-#include <map>
-
 #include "common/fault_injection.h"
 #include "obs/flight_recorder.h"
 
@@ -42,6 +40,17 @@ const RecordEntry* LsmDataset::FindEntryLocked(const Value& key) const {
   return nullptr;
 }
 
+RunMerger LsmDataset::MergeLocked() const {
+  RunMerger merger;
+  for (const auto& comp : components_) merger.Add(comp->rows());
+  merger.Add(memtable_.entries());
+  return merger;
+}
+
+void LsmDataset::PublishSeqLocked() {
+  published_seq_.store(next_seqno_ - 1, std::memory_order_release);
+}
+
 void LsmDataset::IndexInsertLocked(const Value& record) {
   const Value* pk = record.GetField(primary_key_);
   for (auto& [field, slot] : indexes_) {
@@ -64,8 +73,12 @@ void LsmDataset::IndexRemoveLocked(const Value& record) {
 
 Status LsmDataset::WriteLocked(WalRecordType type, Value record) {
   IDEA_ASSIGN_OR_RETURN(Value key, ExtractKey(record));
-  const RecordEntry* existing = FindEntryLocked(key);
-  bool live = existing != nullptr && !existing->tombstone;
+  // The previous version only feeds index maintenance and the insert/delete
+  // liveness checks, so an upsert into an unindexed dataset skips the probe
+  // through the memtable and every component.
+  const RecordEntry* existing = nullptr;
+  if (type != WalRecordType::kUpsert || !indexes_.empty()) existing = FindEntryLocked(key);
+  bool live = existing != nullptr && !existing->tombstone();
   switch (type) {
     case WalRecordType::kInsert:
       if (live) {
@@ -82,14 +95,7 @@ Status LsmDataset::WriteLocked(WalRecordType type, Value record) {
       }
       break;
   }
-  if (wal_ != nullptr) {
-    WalRecord wrec;
-    wrec.type = type;
-    wrec.seqno = next_seqno_;
-    wrec.key = key;
-    if (type != WalRecordType::kDelete) wrec.record = record;
-    IDEA_RETURN_NOT_OK(wal_->Append(wrec));
-  }
+  if (wal_ != nullptr) IDEA_RETURN_NOT_OK(wal_->Append(type, next_seqno_, key, record));
   {
     // Injected crash between the WAL append and the in-memory apply: the
     // mutation is durable in the log but never reaches the memtable, the
@@ -98,31 +104,27 @@ Status LsmDataset::WriteLocked(WalRecordType type, Value record) {
     Status crash = IDEA_FAULT_HIT("lsm.apply");
     if (!crash.ok()) {
       ++next_seqno_;
+      PublishSeqLocked();
       return crash;
     }
   }
-  if (live) IndexRemoveLocked(existing->record);
+  if (live) IndexRemoveLocked(*existing->record);
   RecordEntry entry;
   entry.seqno = next_seqno_++;
-  entry.tombstone = type == WalRecordType::kDelete;
+  if (type != WalRecordType::kDelete) {
+    IndexInsertLocked(record);
+    entry.record = std::make_shared<const Value>(std::move(record));
+  }
   if (options_.changelog_capacity > 0) {
-    DatasetChange change;
-    change.seqno = entry.seqno;
-    change.tombstone = entry.tombstone;
-    change.key = key;
-    if (!entry.tombstone) change.record = record;
-    changelog_.push_back(std::move(change));
+    changelog_.push_back(ChangeSlot{entry.seqno, key, entry.record});
     if (changelog_.size() > options_.changelog_capacity) {
       changelog_evicted_through_ = changelog_.front().seqno;
       changelog_.pop_front();
       metrics_.changelog_evictions->Increment();
     }
   }
-  if (!entry.tombstone) {
-    IndexInsertLocked(record);
-    entry.record = std::move(record);
-  }
-  memtable_.Put(key, std::move(entry));
+  memtable_.Put(std::move(key), std::move(entry));
+  PublishSeqLocked();
   metrics_.writes->Increment();
   return MaybeFlushLocked();
 }
@@ -152,36 +154,40 @@ Result<Value> LsmDataset::Get(const Value& key) const {
   std::shared_lock lock(mu_);
   ++stats_.point_lookups;
   const RecordEntry* e = FindEntryLocked(key);
-  if (e == nullptr || e->tombstone) {
+  if (e == nullptr || e->tombstone()) {
     return Status::NotFound("no record with key " + key.ToString() + " in dataset '" +
                             name_ + "'");
   }
-  return e->record;
+  return *e->record;
 }
 
 std::shared_ptr<const std::vector<Value>> LsmDataset::Scan(uint64_t* seq_out) const {
   std::shared_lock lock(mu_);
   ++stats_.scans;
   if (seq_out != nullptr) *seq_out = next_seqno_ - 1;
-  // Merge oldest -> newest so later versions overwrite.
-  std::map<Value, const RecordEntry*> merged;
-  for (const auto& comp : components_) {
-    for (const auto& [k, e] : comp->rows()) merged[k] = &e;
-  }
-  for (const auto& [k, e] : memtable_.entries()) merged[k] = &e;
+  size_t bound = memtable_.entry_count();
+  for (const auto& comp : components_) bound += comp->size();
   auto out = std::make_shared<std::vector<Value>>();
-  out->reserve(merged.size());
-  for (const auto& [k, e] : merged) {
-    if (!e->tombstone) out->push_back(e->record);
-  }
+  out->reserve(bound);
+  RunMerger merger = MergeLocked();
+  const Value* key;
+  const RecordEntry* entry;
+  while (merger.Next(&key, &entry)) out->push_back(*entry->record);
   return out;
 }
 
-size_t LsmDataset::LiveRecordCount() const { return Scan()->size(); }
+size_t LsmDataset::LiveRecordCount() const {
+  std::shared_lock lock(mu_);
+  RunMerger merger = MergeLocked();
+  const Value* key;
+  const RecordEntry* entry;
+  size_t n = 0;
+  while (merger.Next(&key, &entry)) ++n;
+  return n;
+}
 
 uint64_t LsmDataset::CurrentSeq() const {
-  std::shared_lock lock(mu_);
-  return next_seqno_ - 1;
+  return published_seq_.load(std::memory_order_acquire);
 }
 
 Status LsmDataset::ScanDelta(uint64_t from_seq, uint64_t to_seq,
@@ -199,10 +205,11 @@ Status LsmDataset::ScanDelta(uint64_t from_seq, uint64_t to_seq,
                               std::to_string(from_seq) + " (retained from " +
                               std::to_string(changelog_evicted_through_ + 1) + ")");
   }
-  for (const DatasetChange& c : changelog_) {
+  for (const ChangeSlot& c : changelog_) {
     if (c.seqno <= from_seq) continue;
     if (c.seqno > to_seq) break;
-    out->push_back(c);
+    out->push_back(DatasetChange{c.seqno, c.record == nullptr, c.key,
+                                 c.record != nullptr ? *c.record : Value()});
   }
   return Status::OK();
 }
@@ -224,17 +231,14 @@ Status LsmDataset::CreateIndex(const std::string& index_name, const std::string&
     return Status::InvalidArgument("unknown index kind '" + kind + "'");
   }
   // Build from existing live records.
-  std::map<Value, const RecordEntry*> merged;
-  for (const auto& comp : components_) {
-    for (const auto& [k, e] : comp->rows()) merged[k] = &e;
-  }
-  for (const auto& [k, e] : memtable_.entries()) merged[k] = &e;
-  for (const auto& [k, e] : merged) {
-    if (e->tombstone) continue;
-    const Value* v = e->record.GetField(field);
+  RunMerger merger = MergeLocked();
+  const Value* key;
+  const RecordEntry* entry;
+  while (merger.Next(&key, &entry)) {
+    const Value* v = entry->record->GetField(field);
     if (v == nullptr || v->IsUnknown()) continue;
-    if (slot.btree != nullptr) slot.btree->Insert(*v, k);
-    if (slot.rtree != nullptr) slot.rtree->Insert(*v, k);
+    if (slot.btree != nullptr) slot.btree->Insert(*v, *key);
+    if (slot.rtree != nullptr) slot.rtree->Insert(*v, *key);
   }
   indexes_.emplace(field, std::move(slot));
   return Status::OK();
@@ -267,7 +271,7 @@ Status LsmDataset::ProbeIndexEquals(const std::string& field, const Value& key,
   it->second.btree->SearchEquals(key, &pks);
   for (const Value& pk : pks) {
     const RecordEntry* e = FindEntryLocked(pk);
-    if (e != nullptr && !e->tombstone) out->push_back(e->record);
+    if (e != nullptr && !e->tombstone()) out->push_back(*e->record);
   }
   return Status::OK();
 }
@@ -285,26 +289,30 @@ Status LsmDataset::ProbeIndexMbr(const std::string& field, const adm::Rectangle&
   it->second.rtree->Search(query, &pks);
   for (const Value& pk : pks) {
     const RecordEntry* e = FindEntryLocked(pk);
-    if (e != nullptr && !e->tombstone) out->push_back(e->record);
+    if (e != nullptr && !e->tombstone()) out->push_back(*e->record);
   }
+  return Status::OK();
+}
+
+Status LsmDataset::FlushLocked() {
+  IDEA_RETURN_NOT_OK(IDEA_FAULT_HIT("lsm.flush"));
+  {
+    obs::ScopedLatency timer(metrics_.flush_us);
+    components_.push_back(SortedComponent::FromMemTable(&memtable_));
+  }
+  ++stats_.flushes;
+  metrics_.flushes->Increment();
   return Status::OK();
 }
 
 Status LsmDataset::MaybeFlushLocked() {
   if (memtable_.ApproximateBytes() < options_.memtable_bytes) return Status::OK();
-  IDEA_RETURN_NOT_OK(IDEA_FAULT_HIT("lsm.flush"));
-  {
-    obs::ScopedLatency timer(metrics_.flush_us);
-    components_.push_back(SortedComponent::FromMemTable(next_component_id_++, memtable_));
-    memtable_.Clear();
-  }
-  ++stats_.flushes;
-  metrics_.flushes->Increment();
+  IDEA_RETURN_NOT_OK(FlushLocked());
   if (components_.size() > options_.compaction_threshold) {
     obs::ScopedLatency timer(metrics_.compact_us);
-    auto merged = SortedComponent::Merge(next_component_id_++, components_);
+    auto merged = SortedComponent::Merge(components_);
     components_.clear();
-    components_.push_back(std::move(merged));
+    if (merged->size() > 0) components_.push_back(std::move(merged));
     ++stats_.compactions;
     metrics_.compactions->Increment();
   }
@@ -314,13 +322,7 @@ Status LsmDataset::MaybeFlushLocked() {
 Status LsmDataset::FlushMemTable() {
   std::unique_lock lock(mu_);
   if (memtable_.empty()) return Status::OK();
-  IDEA_RETURN_NOT_OK(IDEA_FAULT_HIT("lsm.flush"));
-  obs::ScopedLatency timer(metrics_.flush_us);
-  components_.push_back(SortedComponent::FromMemTable(next_component_id_++, memtable_));
-  memtable_.Clear();
-  ++stats_.flushes;
-  metrics_.flushes->Increment();
-  return Status::OK();
+  return FlushLocked();
 }
 
 Status LsmDataset::FlushWal() {

@@ -11,8 +11,14 @@
 // snapshots) can refresh incrementally via CurrentSeq()/ScanDelta() instead
 // of re-scanning the whole dataset per computing-job invocation.
 //
+// Each record is stored once: the memtable, the sorted components and the
+// changelog ring share one immutable copy, flush moves the memtable's
+// entries into the new component, and compaction and Scan() are k-way
+// merges over the sorted runs. Readers still receive copies.
+//
 // Thread safety: all public methods are safe for concurrent use
-// (shared_mutex; writers exclusive, readers shared).
+// (shared_mutex; writers exclusive, readers shared). CurrentSeq() takes no
+// lock at all.
 #pragma once
 
 #include <atomic>
@@ -155,12 +161,23 @@ class LsmDataset {
     std::unique_ptr<RTreeIndex> rtree;
   };
 
-  // All Locked* helpers require mu_ held exclusively.
+  // One changelog ring slot; the record is shared with the LSM runs.
+  struct ChangeSlot {
+    uint64_t seqno = 0;
+    adm::Value key;
+    std::shared_ptr<const adm::Value> record;  // null for deletes
+  };
+
+  // Locked* helpers require mu_ held: exclusively for writes, shared for
+  // FindEntryLocked and MergeLocked.
   Status WriteLocked(WalRecordType type, adm::Value record);
   const RecordEntry* FindEntryLocked(const adm::Value& key) const;
+  RunMerger MergeLocked() const;
   void IndexInsertLocked(const adm::Value& record);
   void IndexRemoveLocked(const adm::Value& record);
+  Status FlushLocked();
   Status MaybeFlushLocked();
+  void PublishSeqLocked();
   Result<adm::Value> ExtractKey(const adm::Value& record) const;
 
   std::string name_;
@@ -170,15 +187,17 @@ class LsmDataset {
 
   mutable std::shared_mutex mu_;
   MemTable memtable_;
-  std::vector<std::shared_ptr<const SortedComponent>> components_;  // oldest first
+  std::vector<std::unique_ptr<const SortedComponent>> components_;  // oldest first
   std::unordered_map<std::string, IndexSlot> indexes_;              // by field
   std::unique_ptr<Wal> wal_;
   uint64_t next_seqno_ = 1;
-  uint64_t next_component_id_ = 1;
+  // next_seqno_ - 1, republished (release) each time next_seqno_ moves, so
+  // CurrentSeq() never waits on mu_.
+  std::atomic<uint64_t> published_seq_{0};
   // Bounded changelog ring behind ScanDelta (newest at the back).
   // `changelog_evicted_through_` is the highest seqno dropped off the front;
   // a delta from any base >= that mark is still fully covered by the ring.
-  std::deque<DatasetChange> changelog_;
+  std::deque<ChangeSlot> changelog_;
   uint64_t changelog_evicted_through_ = 0;
   struct AtomicStats {
     std::atomic<uint64_t> inserts{0}, upserts{0}, deletes{0}, point_lookups{0},

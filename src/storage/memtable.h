@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 
 #include "adm/value.h"
 #include "common/status.h"
@@ -13,17 +14,23 @@
 namespace idea::storage {
 
 /// One versioned record slot (newest version wins; tombstones mask deletes).
+/// The record is immutable and shared: the memtable, the sorted components
+/// and the changelog ring all point at the one instance built at write time.
 struct RecordEntry {
   uint64_t seqno = 0;
-  bool tombstone = false;
-  adm::Value record;
+  std::shared_ptr<const adm::Value> record;  // null for a tombstone
+  size_t bytes = 0;  // size estimate of key + record, set by MemTable::Put
+
+  bool tombstone() const { return record == nullptr; }
 };
 
 /// Sorted mutable run. Not internally synchronized: LsmDataset guards it.
 class MemTable {
  public:
+  using Entries = std::map<adm::Value, RecordEntry>;
+
   /// Inserts or replaces the entry for `key`.
-  void Put(const adm::Value& key, RecordEntry entry);
+  void Put(adm::Value key, RecordEntry entry);
 
   /// nullptr when the key is absent (a tombstone entry is still returned).
   const RecordEntry* Get(const adm::Value& key) const;
@@ -31,13 +38,15 @@ class MemTable {
   size_t entry_count() const { return entries_.size(); }
   size_t ApproximateBytes() const { return bytes_; }
   bool empty() const { return entries_.empty(); }
-  void Clear();
 
   /// Key-ordered iteration.
-  const std::map<adm::Value, RecordEntry>& entries() const { return entries_; }
+  const Entries& entries() const { return entries_; }
+
+  /// Moves every entry out (key order) and leaves the memtable empty.
+  Entries Take();
 
  private:
-  std::map<adm::Value, RecordEntry> entries_;
+  Entries entries_;
   size_t bytes_ = 0;
 };
 

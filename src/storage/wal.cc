@@ -39,34 +39,38 @@ Result<std::unique_ptr<Wal>> Wal::OpenFile(const std::string& path) {
   return wal;
 }
 
-Status Wal::Append(const WalRecord& rec) {
+Status Wal::Append(WalRecordType type, uint64_t seqno, const adm::Value& key,
+                   const adm::Value& record) {
   // Injected log-device failure: nothing reaches the log, the write fails.
   IDEA_RETURN_NOT_OK(IDEA_FAULT_HIT("wal.append"));
   const WalMetrics& metrics = Metrics();
   obs::ScopedLatency timer(metrics.append_us);
-  ByteBuffer buf;
-  buf.PutU8(static_cast<uint8_t>(rec.type));
-  buf.PutVarint64(rec.seqno);
-  adm::SerializeValue(rec.key, &buf);
-  if (rec.type != WalRecordType::kDelete) {
-    adm::SerializeValue(rec.record, &buf);
-  }
+  // Per-thread scratch body: cleared, never shrunk, so appends stop
+  // allocating once it has grown to the largest record.
+  thread_local ByteBuffer body;
+  body.Clear();
+  body.PutU8(static_cast<uint8_t>(type));
+  body.PutVarint64(seqno);
+  adm::SerializeValue(key, &body);
+  if (type != WalRecordType::kDelete) adm::SerializeValue(record, &body);
+  // Frame: fixed32 little-endian body length, then the body.
+  uint8_t header[4];
+  for (int i = 0; i < 4; ++i) header[i] = static_cast<uint8_t>(body.size() >> (8 * i));
+  const size_t framed = sizeof(header) + body.size();
   metrics.appends->Increment();
-  metrics.bytes->Add(buf.size() + 4);
+  metrics.bytes->Add(framed);
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.appends;
-  stats_.bytes_written += buf.size() + 4;
-  stats_.unflushed_bytes += buf.size() + 4;
-  ByteBuffer framed;
-  framed.PutFixed32(static_cast<uint32_t>(buf.size()));
-  framed.PutBytes(buf.data(), buf.size());
+  stats_.bytes_written += framed;
+  stats_.unflushed_bytes += framed;
   if (file_ != nullptr) {
-    file_->write(reinterpret_cast<const char*>(framed.data()),
-                 static_cast<std::streamsize>(framed.size()));
-    pending_.insert(pending_.end(), framed.data(), framed.data() + framed.size());
+    file_->write(reinterpret_cast<const char*>(header), sizeof(header));
+    file_->write(reinterpret_cast<const char*>(body.data()),
+                 static_cast<std::streamsize>(body.size()));
     if (!file_->good()) return Status::Internal("WAL write failed");
   }
-  buffer_.insert(buffer_.end(), framed.data(), framed.data() + framed.size());
+  buffer_.insert(buffer_.end(), header, header + sizeof(header));
+  buffer_.insert(buffer_.end(), body.data(), body.data() + body.size());
   return Status::OK();
 }
 
@@ -78,7 +82,6 @@ Status Wal::Flush() {
   if (file_ != nullptr) {
     file_->flush();
     if (!file_->good()) return Status::Internal("WAL flush failed");
-    pending_.clear();
   }
   ++stats_.flushes;
   stats_.unflushed_bytes = 0;

@@ -42,7 +42,12 @@ class Wal {
   /// File-backed log at `path` (truncated).
   static Result<std::unique_ptr<Wal>> OpenFile(const std::string& path);
 
-  Status Append(const WalRecord& rec);
+  /// Logs one mutation, serializing `record` (ignored for deletes) in place.
+  Status Append(WalRecordType type, uint64_t seqno, const adm::Value& key,
+                const adm::Value& record);
+  Status Append(const WalRecord& rec) {
+    return Append(rec.type, rec.seqno, rec.key, rec.record);
+  }
   /// Makes all appended records durable. Group-commit point.
   Status Flush();
 
@@ -54,8 +59,7 @@ class Wal {
 
  private:
   mutable std::mutex mu_;
-  std::vector<uint8_t> buffer_;       // in-memory mode: the whole log
-  std::vector<uint8_t> pending_;      // file mode: bytes since last flush
+  std::vector<uint8_t> buffer_;  // the whole log, framed (both modes)
   std::unique_ptr<std::ofstream> file_;
   std::string path_;
   WalStats stats_;

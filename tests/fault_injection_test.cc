@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 #include <string>
 #include <thread>
@@ -173,6 +174,64 @@ TEST_F(FaultInjectionTest, DisarmAndRearmResetCounters) {
   FaultInjector::Default().Arm("fi.rearm", FaultSpec::Nth(1));
   EXPECT_EQ(FaultInjector::Default().GetStats("fi.rearm").hits, 0u);
   EXPECT_FALSE(IDEA_FAULT_HIT("fi.rearm").ok());
+}
+
+// Counting triggers hand most hits to the inline quiet-run path; the firing
+// hits must land on the same ordinals across many ordinal blocks.
+TEST_F(FaultInjectionTest, CountingTriggersStayExactAcrossOrdinalBlocks) {
+  FaultInjector::Default().Arm("fi.nth.far", FaultSpec::Nth(1000));
+  FaultInjector::Default().Arm("fi.every.far", FaultSpec::EveryNth(97));
+  std::vector<int> nth_fired, every_fired;
+  for (int i = 1; i <= 3000; ++i) {
+    if (!IDEA_FAULT_HIT("fi.nth.far").ok()) nth_fired.push_back(i);
+    if (!IDEA_FAULT_HIT("fi.every.far").ok()) every_fired.push_back(i);
+  }
+  EXPECT_EQ(nth_fired, std::vector<int>{1000});
+  std::vector<int> want;
+  for (int i = 97; i <= 3000; i += 97) want.push_back(i);
+  EXPECT_EQ(every_fired, want);
+  EXPECT_EQ(FaultInjector::Default().GetStats("fi.nth.far").fires, 1u);
+  // Retired per block: at most one block's worth of hits still unretired.
+  const uint64_t hits = FaultInjector::Default().GetStats("fi.nth.far").hits;
+  EXPECT_LE(hits, 3000u);
+  EXPECT_GT(hits, 3000u - 64u);
+}
+
+// Re-arming mid-run drops the old epoch's quiet run: counting restarts at 1.
+TEST_F(FaultInjectionTest, RearmDropsQuietRunOfPreviousArming) {
+  FaultInjector::Default().Arm("fi.rearm.run", FaultSpec::Nth(50));
+  for (int i = 0; i < 10; ++i) EXPECT_TRUE(IDEA_FAULT_HIT("fi.rearm.run").ok());
+  FaultInjector::Default().Arm("fi.rearm.run", FaultSpec::Nth(2));
+  EXPECT_TRUE(IDEA_FAULT_HIT("fi.rearm.run").ok());
+  EXPECT_FALSE(IDEA_FAULT_HIT("fi.rearm.run").ok());
+  // Disarm + re-arm with the same spec also restarts the count.
+  FaultInjector::Default().Disarm("fi.rearm.run");
+  EXPECT_TRUE(IDEA_FAULT_HIT("fi.rearm.run").ok());
+  FaultInjector::Default().Arm("fi.rearm.run", FaultSpec::Nth(2));
+  EXPECT_TRUE(IDEA_FAULT_HIT("fi.rearm.run").ok());
+  EXPECT_FALSE(IDEA_FAULT_HIT("fi.rearm.run").ok());
+  // Switching to a non-counting trigger leaves no quiet run behind.
+  FaultInjector::Default().Arm("fi.rearm.run", FaultSpec::Always());
+  EXPECT_FALSE(IDEA_FAULT_HIT("fi.rearm.run").ok());
+  EXPECT_FALSE(IDEA_FAULT_HIT("fi.rearm.run").ok());
+}
+
+// Every ordinal is handed out once, so an nth trigger far past the first
+// blocks fires exactly once even with threads racing for blocks.
+TEST_F(FaultInjectionTest, NthFiresOnceUnderConcurrentBlockRefills) {
+  FaultInjector::Default().Arm("fi.nth.mt", FaultSpec::Nth(2000));
+  std::atomic<int> fires{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&fires] {
+      for (int i = 0; i < 1000; ++i) {
+        if (!IDEA_FAULT_HIT("fi.nth.mt").ok()) fires.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(fires.load(), 1);
+  EXPECT_EQ(FaultInjector::Default().GetStats("fi.nth.mt").fires, 1u);
 }
 
 TEST_F(FaultInjectionTest, StableHashAndBackoffAreDeterministic) {

@@ -286,6 +286,59 @@ TEST_F(PlanTest, IndexProbeSeesLiveUpdatesMidJob) {
   EXPECT_EQ(after->GetField("nearby_monuments")->AsArray().size(), n_before + 1);
 }
 
+// An equality index probe selects candidates by exactly the `=` conjunct's
+// semantics, so skipping that conjunct per candidate must match a scan that
+// evaluates it — across numeric types, unknowns and strings.
+TEST_F(PlanTest, IndexEqualityProbeMatchesScanOnMixedKeys) {
+  ASSERT_TRUE(catalog_
+                  .CreateDatatype(adm::Datatype(
+                      "EqRefType", {{"rid", adm::FieldType::kInt64, false}}))
+                  .ok());
+  ASSERT_TRUE(catalog_.CreateDataset("EqRef", "EqRefType", "rid").ok());
+  auto ds = catalog_.FindDataset("EqRef");
+  ASSERT_TRUE(ds->CreateIndex("eqRefK", "k", "btree").ok());
+  const char* rows[] = {
+      R"({"rid": 1, "k": 3, "tag": "a"})",     R"({"rid": 2, "k": 3.0, "tag": "b"})",
+      R"({"rid": 3, "k": 3.5, "tag": "c"})",   R"({"rid": 4, "k": "3", "tag": "d"})",
+      R"({"rid": 5, "k": null, "tag": "e"})",  R"({"rid": 6, "tag": "f"})",
+      R"({"rid": 7, "k": 4, "tag": "g"})",     R"({"rid": 8, "k": 3, "tag": "h"})"};
+  for (const char* row : rows) ASSERT_TRUE(ds->Upsert(adm::ParseJson(row).value()).ok());
+
+  const std::string body =
+      "  LET hits = (SELECT VALUE r.tag FROM EqRef %s r WHERE r.k = t.k AND r.tag != \"h\""
+      " ORDER BY r.tag)\n  SELECT t.*, hits\n};";
+  auto fn = [&](const char* hint) {
+    char buf[512];
+    std::snprintf(buf, sizeof(buf), body.c_str(), hint);
+    return ParseFn(std::string("CREATE FUNCTION eqProbe(t) {\n") + buf);
+  };
+  auto indexed = EnrichmentPlan::Compile(fn(""), &accessor_, &resolver_);
+  auto scanned = EnrichmentPlan::Compile(fn("/*+ skip-index */"), &accessor_, &resolver_);
+  ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
+  ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
+  ASSERT_EQ((*indexed)->choices().size(), 1u);
+  EXPECT_EQ((*indexed)->choices()[0].kind, AccessPathKind::kIndexNestedLoopEq);
+  EXPECT_EQ((*scanned)->choices()[0].kind, AccessPathKind::kScan);
+  ASSERT_TRUE((*indexed)->Initialize().ok());
+  ASSERT_TRUE((*scanned)->Initialize().ok());
+
+  const char* probes[] = {R"({"id": 1, "k": 3})",   R"({"id": 2, "k": 3.0})",
+                          R"({"id": 3, "k": 3.5})", R"({"id": 4, "k": "3"})",
+                          R"({"id": 5, "k": null})", R"({"id": 6})",
+                          R"({"id": 7, "k": 9})"};
+  for (int round = 0; round < 2; ++round) {  // second round answers from the memo
+    for (const char* p : probes) {
+      Value probe = adm::ParseJson(p).value();
+      auto a = (*indexed)->EnrichOne(probe);
+      auto b = (*scanned)->EnrichOne(probe);
+      ASSERT_TRUE(a.ok()) << a.status().ToString();
+      ASSERT_TRUE(b.ok()) << b.status().ToString();
+      EXPECT_EQ(*a, *b) << p << "\nindex: " << a->ToString() << "\nscan:  " << b->ToString();
+    }
+  }
+  EXPECT_GT((*indexed)->stats().probe_cache_hits, 0u);
+}
+
 TEST_F(PlanTest, ForkSharesNothingMutable) {
   const auto& uc = workload::GetUseCase(workload::UseCaseId::kSafetyRating);
   SetupUseCase(uc);

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <thread>
 
 #include "adm/json.h"
+#include "common/rng.h"
 #include "storage/catalog.h"
+#include "storage/component.h"
 #include "storage/lsm_dataset.h"
 
 namespace idea::storage {
@@ -171,6 +174,225 @@ TEST(LsmDatasetTest, ConcurrentReadersAndWriter) {
   writer.join();
   for (auto& r : readers) r.join();
   EXPECT_GT(reads.load(), 0u);
+}
+
+// Model check: a seeded random mix of inserts, upserts, deletes and forced
+// flushes against a std::map, with a memtable and compaction threshold tiny
+// enough that keys and tombstones spread over several sorted runs and
+// full-merge compactions keep folding them together. Every read path is
+// compared with the model after every step.
+void RunModelCheck(uint64_t seed, bool with_index) {
+  SCOPED_TRACE("seed " + std::to_string(seed) + (with_index ? " indexed" : ""));
+  constexpr int64_t kKeys = 48;
+  constexpr int64_t kGroups = 5;
+  constexpr int kSteps = 1500;
+  DatasetOptions opts;
+  opts.memtable_bytes = 1024;
+  opts.compaction_threshold = 3;
+  LsmDataset ds("d", SimpleType(), "id", opts);
+  if (with_index) {
+    ASSERT_TRUE(ds.CreateIndex("byG", "g", "btree").ok());
+  }
+  std::map<int64_t, Value> model;
+  uint64_t seq = 0;
+  size_t max_runs = 0;
+  Rng rng(seed);
+  for (int step = 0; step < kSteps; ++step) {
+    const int64_t id = static_cast<int64_t>(rng.NextBelow(kKeys));
+    Value rec = Value::MakeObject(
+        {{"id", Value::MakeInt(id)},
+         {"g", Value::MakeInt(static_cast<int64_t>(rng.NextBelow(kGroups)))},
+         {"payload", Value::MakeString(rng.NextAlpha(rng.NextBelow(40)))}});
+    const uint64_t op = rng.NextBelow(10);
+    const uint64_t prev_seq = seq;
+    bool wrote = false;
+    if (op < 3) {
+      Status st = ds.Insert(rec);
+      if (model.count(id) > 0) {
+        ASSERT_EQ(st.code(), StatusCode::kAlreadyExists) << step;
+      } else {
+        ASSERT_TRUE(st.ok()) << step << ": " << st.ToString();
+        model[id] = rec;
+        wrote = true;
+      }
+    } else if (op < 6) {
+      ASSERT_TRUE(ds.Upsert(rec).ok()) << step;
+      model[id] = rec;
+      wrote = true;
+    } else if (op < 9) {
+      Status st = ds.Delete(Value::MakeInt(id));
+      if (model.erase(id) > 0) {
+        ASSERT_TRUE(st.ok()) << step << ": " << st.ToString();
+        wrote = true;
+      } else {
+        ASSERT_TRUE(st.IsNotFound()) << step;
+      }
+    } else {
+      ASSERT_TRUE(ds.FlushMemTable().ok()) << step;
+    }
+    if (wrote) ++seq;
+    max_runs = std::max(max_runs, ds.ComponentCount());
+
+    // Scan: key order, exact contents, and the sequence it is current through.
+    uint64_t scan_seq = 0;
+    auto snap = ds.Scan(&scan_seq);
+    ASSERT_EQ(scan_seq, seq) << step;
+    ASSERT_EQ(snap->size(), model.size()) << step;
+    size_t i = 0;
+    for (const auto& [k, v] : model) ASSERT_EQ((*snap)[i++], v) << step << " key " << k;
+    ASSERT_EQ(ds.LiveRecordCount(), model.size()) << step;
+    for (int64_t k = 0; k < kKeys; ++k) {
+      auto got = ds.Get(Value::MakeInt(k));
+      auto it = model.find(k);
+      if (it == model.end()) {
+        ASSERT_TRUE(got.status().IsNotFound()) << step << " key " << k;
+      } else {
+        ASSERT_TRUE(got.ok()) << step << " key " << k;
+        ASSERT_EQ(*got, it->second) << step << " key " << k;
+      }
+    }
+    if (with_index) {
+      for (int64_t g = 0; g < kGroups; ++g) {
+        std::vector<Value> hits;
+        ASSERT_TRUE(ds.ProbeIndexEquals("g", Value::MakeInt(g), &hits).ok());
+        std::map<int64_t, Value> expect, got;
+        for (const auto& [k, v] : model) {
+          if (v.GetField("g")->AsInt() == g) expect.emplace(k, v);
+        }
+        for (Value& v : hits) got.emplace(v.GetField("id")->AsInt(), std::move(v));
+        ASSERT_EQ(got.size(), hits.size()) << step << " duplicate index hit";
+        ASSERT_EQ(got, expect) << step << " group " << g;
+      }
+    }
+
+    // Versioning: each write advances the sequence by one, and the delta
+    // over this step replays exactly that write.
+    ASSERT_EQ(ds.CurrentSeq(), seq) << step;
+    std::vector<DatasetChange> delta;
+    ASSERT_TRUE(ds.ScanDelta(prev_seq, seq, &delta).ok()) << step;
+    ASSERT_EQ(delta.size(), seq - prev_seq) << step;
+    if (wrote) {
+      EXPECT_EQ(delta[0].seqno, seq);
+      EXPECT_EQ(delta[0].key.AsInt(), id);
+      auto it = model.find(id);
+      EXPECT_EQ(delta[0].tombstone, it == model.end());
+      if (it != model.end()) {
+        EXPECT_EQ(delta[0].record, it->second);
+      }
+    }
+  }
+  DatasetStats stats = ds.stats();
+  EXPECT_GT(stats.flushes, 0u);
+  EXPECT_GT(stats.compactions, 0u);
+  EXPECT_GE(max_runs, 3u);
+}
+
+TEST(LsmDatasetTest, ModelCheckUnindexed) {
+  for (uint64_t seed : {1, 2, 3}) RunModelCheck(seed, /*with_index=*/false);
+}
+
+TEST(LsmDatasetTest, ModelCheckWithBTreeIndex) {
+  for (uint64_t seed : {4, 5, 6}) RunModelCheck(seed, /*with_index=*/true);
+}
+
+RecordEntry Live(uint64_t seqno, const Value& record) {
+  RecordEntry e;
+  e.seqno = seqno;
+  e.record = std::make_shared<const Value>(record);
+  return e;
+}
+
+RecordEntry Tombstone(uint64_t seqno) {
+  RecordEntry e;
+  e.seqno = seqno;
+  return e;
+}
+
+TEST(SortedComponentTest, MergeKeepsNewestAndDropsTombstones) {
+  std::vector<std::unique_ptr<const SortedComponent>> runs;
+  std::vector<SortedComponent::Row> oldest;
+  oldest.emplace_back(Value::MakeInt(1), Live(1, Rec(1, "a")));
+  oldest.emplace_back(Value::MakeInt(2), Live(2, Rec(2, "a")));
+  oldest.emplace_back(Value::MakeInt(3), Live(3, Rec(3, "a")));
+  runs.push_back(std::make_unique<const SortedComponent>(std::move(oldest)));
+  std::vector<SortedComponent::Row> newer;
+  newer.emplace_back(Value::MakeInt(1), Tombstone(4));
+  newer.emplace_back(Value::MakeInt(3), Live(5, Rec(3, "b")));
+  newer.emplace_back(Value::MakeInt(4), Tombstone(6));  // masks nothing
+  runs.push_back(std::make_unique<const SortedComponent>(std::move(newer)));
+  std::vector<SortedComponent::Row> newest;
+  newest.emplace_back(Value::MakeInt(2), Tombstone(7));
+  newest.emplace_back(Value::MakeInt(5), Live(8, Rec(5, "c")));
+  runs.push_back(std::make_unique<const SortedComponent>(std::move(newest)));
+
+  auto merged = SortedComponent::Merge(runs);
+  ASSERT_EQ(merged->size(), 2u);
+  EXPECT_EQ(merged->rows()[0].first.AsInt(), 3);
+  EXPECT_EQ(merged->rows()[0].second.seqno, 5u);
+  EXPECT_EQ(*merged->rows()[0].second.record, Rec(3, "b"));
+  EXPECT_EQ(merged->rows()[1].first.AsInt(), 5);
+  // The merged run shares records with its inputs instead of copying them.
+  EXPECT_EQ(merged->rows()[0].second.record.get(),
+            runs[1]->rows()[1].second.record.get());
+  EXPECT_EQ(merged->Get(Value::MakeInt(1)), nullptr);
+}
+
+TEST(SortedComponentTest, FlushMovesMemTableEntries) {
+  MemTable mem;
+  mem.Put(Value::MakeInt(2), Live(1, Rec(2)));
+  mem.Put(Value::MakeInt(1), Live(2, Rec(1)));
+  mem.Put(Value::MakeInt(3), Tombstone(3));
+  const Value* shared = mem.Get(Value::MakeInt(1))->record.get();
+  auto comp = SortedComponent::FromMemTable(&mem);
+  EXPECT_TRUE(mem.empty());
+  EXPECT_EQ(mem.ApproximateBytes(), 0u);
+  ASSERT_EQ(comp->size(), 3u);
+  EXPECT_EQ(comp->rows()[0].first.AsInt(), 1);
+  EXPECT_EQ(comp->rows()[0].second.record.get(), shared);
+  EXPECT_TRUE(comp->rows()[2].second.tombstone());
+}
+
+// CurrentSeq() takes no lock: a reader polling it while a writer flushes and
+// compacts must always be able to ScanDelta up to what it read, and every
+// published sequence must appear in exactly one delta. Runs under TSan via
+// tests/run_tsan.sh.
+TEST(LsmDatasetTest, CurrentSeqPublishesCommittedWrites) {
+  DatasetOptions opts;
+  opts.memtable_bytes = 4096;
+  opts.compaction_threshold = 3;
+  opts.changelog_capacity = 1 << 16;  // the reader may lag; never wrap
+  LsmDataset ds("d", SimpleType(), "id", opts);
+  constexpr int64_t kUpserts = 3000;
+  constexpr uint64_t kWrites = kUpserts + kUpserts / 10;
+  std::thread writer([&] {
+    for (int64_t i = 0; i < kUpserts; ++i) {
+      ASSERT_TRUE(ds.Upsert(Rec(i % 257, "w" + std::to_string(i))).ok());
+      if (i % 10 == 9) {
+        ASSERT_TRUE(ds.Delete(Value::MakeInt(i % 257)).ok());
+      }
+    }
+  });
+  uint64_t prev = 0;
+  std::vector<DatasetChange> delta;
+  while (prev < kWrites) {
+    const uint64_t cur = ds.CurrentSeq();
+    ASSERT_GE(cur, prev);
+    if (cur == prev) {
+      std::this_thread::yield();
+      continue;
+    }
+    delta.clear();
+    Status st = ds.ScanDelta(prev, cur, &delta);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    ASSERT_EQ(delta.size(), cur - prev);
+    for (size_t j = 0; j < delta.size(); ++j) {
+      ASSERT_EQ(delta[j].seqno, prev + 1 + j);
+    }
+    prev = cur;
+  }
+  writer.join();
+  EXPECT_EQ(ds.CurrentSeq(), kWrites);
+  EXPECT_GT(ds.stats().compactions, 0u);
 }
 
 TEST(CatalogTest, LifecycleAndLookup) {
