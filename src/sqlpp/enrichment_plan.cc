@@ -31,11 +31,13 @@ const char* AccessPathKindName(AccessPathKind k) {
 ///
 /// Intermediate state (the Model-2 "snapshot" / hash build) is cached across
 /// Initialize() calls. In versioned mode records live in `by_pk`, a map keyed
-/// by the reference dataset's primary key: map nodes have stable addresses,
-/// so hash entries and emitted candidate pointers survive delta upserts and
-/// deletes of *other* keys, and key-ordered iteration reproduces exactly the
-/// record order of a full LSM scan (both sort by adm::Value's total order) —
-/// which is what keeps delta-refreshed results bit-identical to a rebuild.
+/// by the reference dataset's primary key whose values are the stored
+/// records themselves, shared with storage (neither a rebuild nor a delta
+/// copies one). Map nodes and shared records have stable addresses, so hash
+/// entries and emitted candidate pointers survive delta upserts and deletes
+/// of *other* keys, and key-ordered iteration reproduces exactly the record
+/// order of a full LSM scan (both sort by adm::Value's total order) — which
+/// is what keeps delta-refreshed results bit-identical to a rebuild.
 /// Unversioned accessors keep the original shared-snapshot representation
 /// and always rebuild.
 struct EnrichmentPlan::PathImpl : public FromAccessPath {
@@ -68,7 +70,8 @@ struct EnrichmentPlan::PathImpl : public FromAccessPath {
 
   // Cached intermediate state (survives across Initialize() calls).
   Snapshot snapshot;             // unversioned mode: shared epoch snapshot
-  std::map<Value, Value> by_pk;  // versioned mode: records keyed by primary key
+  // Versioned mode: shared stored records keyed by primary key.
+  std::map<Value, std::shared_ptr<const Value>> by_pk;
   std::unordered_map<uint64_t, std::vector<HashEntry>> hash;
   size_t hash_bytes = 0;
   bool versioned = false;
@@ -189,8 +192,8 @@ struct EnrichmentPlan::PathImpl : public FromAccessPath {
     if (config->enable_delta_refresh && vs.seq != DatasetAccessor::kUnversioned &&
         !pk_field.empty()) {
       versioned = true;
-      for (const Value& rec : *vs.snapshot) {
-        const Value* pk = rec.GetField(pk_field);
+      for (const adm::RecordSet::Record& rec : vs.snapshot->records()) {
+        const Value* pk = rec->GetField(pk_field);
         if (pk == nullptr || pk->IsUnknown()) {
           versioned = false;  // un-keyable record: revert to snapshot mode
           by_pk.clear();
@@ -204,7 +207,7 @@ struct EnrichmentPlan::PathImpl : public FromAccessPath {
     if (kind == AccessPathKind::kHashBuildProbe) {
       if (versioned) {
         // pk-ascending iteration appends in bucket order == full-scan order.
-        for (const auto& [pk, rec] : by_pk) InsertHashEntry(pk, rec);
+        for (const auto& [pk, rec] : by_pk) InsertHashEntry(pk, *rec);
       } else {
         for (const Value& rec : *snapshot) {
           const Value& key = rec.GetFieldOrMissing(ref_field);
@@ -231,18 +234,18 @@ struct EnrichmentPlan::PathImpl : public FromAccessPath {
     auto it = by_pk.find(change.key);
     if (change.tombstone) {
       if (it == by_pk.end()) return;  // delete already reflected in the base
-      if (is_hash) RemoveHashEntry(it->first, it->second);
+      if (is_hash) RemoveHashEntry(it->first, *it->second);
       by_pk.erase(it);
       return;
     }
     if (it != by_pk.end()) {
-      if (is_hash) RemoveHashEntry(it->first, it->second);
+      if (is_hash) RemoveHashEntry(it->first, *it->second);
       it->second = std::move(change.record);
-      if (is_hash) InsertHashEntry(it->first, it->second);
+      if (is_hash) InsertHashEntry(it->first, *it->second);
     } else {
       auto [nit, inserted] = by_pk.emplace(std::move(change.key), std::move(change.record));
       (void)inserted;
-      if (is_hash) InsertHashEntry(nit->first, nit->second);
+      if (is_hash) InsertHashEntry(nit->first, *nit->second);
     }
   }
 
@@ -315,7 +318,7 @@ struct EnrichmentPlan::PathImpl : public FromAccessPath {
         if (versioned) {
           // pk-ordered iteration == full-scan record order (bit-identical).
           out->reserve(out->size() + by_pk.size());
-          for (const auto& [pk, rec] : by_pk) out->push_back(&rec);
+          for (const auto& [pk, rec] : by_pk) out->push_back(rec.get());
         } else {
           out->reserve(out->size() + snapshot->size());
           for (const Value& rec : *snapshot) out->push_back(&rec);

@@ -432,18 +432,20 @@ Result<Value> Evaluator::EvalAggregateCall(const Expr& e, Env* env) {
     if (name != "count") {
       return Status::InvalidArgument("'*' is only valid inside count(*)");
     }
-    return Value::MakeInt(static_cast<int64_t>(group.members->size()));
+    return Value::MakeInt(static_cast<int64_t>(group.member_count));
   }
   // Evaluate the argument once per member, with group semantics disabled so
   // member fields resolve normally.
   group_stack_.pop_back();
   std::vector<Value>* items = AcquireValueVec();
   ValueVecLease lease{this, items};
-  items->reserve(group.members->size());
+  items->reserve(group.member_count);
   Status st = Status::OK();
-  for (const MaterializedTuple& tuple : *group.members) {
+  const std::vector<std::string>& names = *group.var_names;
+  const MemberSlot* slot = group.members->data();
+  for (size_t m = 0; m < group.member_count; ++m) {
     Env member_env(group.base_env);
-    for (const auto& [n, v] : tuple.bindings) member_env.Bind(n, &v);
+    for (const std::string& n : names) member_env.Bind(n, (slot++)->get());
     auto r = Eval(*e.args[0], &member_env);
     if (!r.ok()) {
       st = r.status();
@@ -734,11 +736,17 @@ Status Evaluator::FromItemLoop(const SelectStatement& q, size_t item, Env* env,
     return Status::NotFound("unknown dataset or collection '" + fc.dataset + "'");
   }
   IDEA_ASSIGN_OR_RETURN(Snapshot snap, ctx_.datasets->GetSnapshot(fc.dataset));
+  const uint64_t members_before = group_members_added_;
   for (const Value& rec : *snap) {
     Env iter(env);
     iter.Bind(fc.alias, &rec);
     CountScannedTuple();
     IDEA_RETURN_NOT_OK(FromItemLoop(q, item + 1, &iter, emit));
+  }
+  // Group members of a grouped block borrow these records (SnapshotPinScope).
+  if (depth_ == snapshot_pin_depth_ && group_members_added_ != members_before &&
+      (block_snapshots_.empty() || block_snapshots_.back() != snap)) {
+    block_snapshots_.push_back(std::move(snap));
   }
   return Status::OK();
 }
@@ -837,8 +845,8 @@ Result<bool> Evaluator::TryStreamingAggregate(const SelectStatement& q, Env* blo
     }
   }
 
-  // Fold aggregate arguments tuple-by-tuple: no MaterializedTuple deep
-  // copies, no second pass over members. Matches EvalAggregateCall exactly:
+  // Fold aggregate arguments tuple-by-tuple: no group members to
+  // materialize, no second pass over them. Matches EvalAggregateCall exactly:
   // count(*) counts tuples, everything else collects the evaluated argument
   // and applies the aggregate once at the end (empty input included — the
   // implicit group exists even with zero tuples).
@@ -1001,11 +1009,33 @@ Result<adm::Array> Evaluator::EvalQuery(const SelectStatement& q, Env* env) {
     if (streamed) return out;
   }
 
-  // Grouped evaluation (explicit GROUP BY or implicit aggregation).
+  // Grouped evaluation (explicit GROUP BY or implicit aggregation). A member
+  // borrows a FROM alias's value when its storage outlives the block: a
+  // record of a dataset snapshot (pinned by `pins`) or an element of a
+  // collection bound outside the block. Everything else is copied: access-
+  // path candidates (an index probe refills its buffer per probe), FROM-
+  // expression elements (parked in an Env that dies with the loop) and
+  // post-FROM LET values.
   const std::vector<std::string> var_names = TupleVarNames(q);
+  std::vector<bool> borrow(var_names.size(), false);
+  for (size_t i = 0; i < q.from.size(); ++i) {
+    const FromClause& fc = q.from[i];
+    bool stable = fc.source == FromClause::Source::kDataset &&
+                  (ctx_.access_paths == nullptr || ctx_.access_paths->count(&fc) == 0);
+    // A name bound twice resolves to its innermost binding, and a dataset
+    // named like an earlier alias iterates that alias's per-tuple value.
+    for (size_t j = 0; stable && j < var_names.size(); ++j) {
+      stable = j == i || var_names[j] != var_names[i];
+    }
+    for (size_t j = 0; stable && j < i; ++j) stable = q.from[j].alias != fc.dataset;
+    borrow[i] = stable;
+  }
+  SnapshotPinScope pins{this, block_snapshots_.size(), snapshot_pin_depth_};
+  snapshot_pin_depth_ = depth_;
   struct Group {
     std::vector<Value> key_values;
-    std::vector<MaterializedTuple> members;
+    std::vector<MemberSlot> members;
+    size_t member_count = 0;
   };
   std::vector<Group> groups;
   std::map<std::vector<Value>, size_t> group_index;  // Value::operator< total order
@@ -1019,20 +1049,26 @@ Result<adm::Array> Evaluator::EvalQuery(const SelectStatement& q, Env* env) {
     }
     auto [it, inserted] = group_index.try_emplace(key, groups.size());
     if (inserted) {
-      groups.push_back(Group{std::move(key), {}});
+      groups.push_back(Group{std::move(key), {}, 0});
     }
-    MaterializedTuple tuple;
-    for (const auto& name : var_names) {
-      const Value* v = tuple_env->Lookup(name);
-      if (v != nullptr) tuple.bindings.emplace_back(name, *v);
+    Group& group = groups[it->second];
+    for (size_t j = 0; j < var_names.size(); ++j) {
+      const Value* v = tuple_env->Lookup(var_names[j]);
+      MemberSlot& slot = group.members.emplace_back();
+      if (borrow[j]) {
+        slot.borrowed = v;
+      } else if (v != nullptr) {
+        slot.owned = *v;
+      }
     }
-    groups[it->second].members.push_back(std::move(tuple));
+    ++group.member_count;
+    ++group_members_added_;
     return Status::OK();
   }));
 
   // Implicit aggregation over an empty input still produces one (empty) group.
   if (groups.empty() && q.group_by.empty()) {
-    groups.push_back(Group{{}, {}});
+    groups.push_back(Group{{}, {}, 0});
   }
 
   struct GroupRow {
@@ -1051,6 +1087,8 @@ Result<adm::Array> Evaluator::EvalQuery(const SelectStatement& q, Env* env) {
     gctx.keys = &q.group_by;
     gctx.key_values = &g.key_values;
     gctx.members = &g.members;
+    gctx.member_count = g.member_count;
+    gctx.var_names = &var_names;
     gctx.base_env = &block_env;
     group_stack_.push_back(gctx);
     struct PopGuard {

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "adm/arena.h"
+#include "adm/record_set.h"
 #include "adm/value.h"
 #include "common/status.h"
 #include "obs/metrics.h"
@@ -38,8 +39,10 @@
 
 namespace idea::sqlpp {
 
-/// Immutable snapshot of a dataset's records.
-using Snapshot = std::shared_ptr<const std::vector<adm::Value>>;
+/// Immutable snapshot of a dataset's records. The records are the stored
+/// ones, shared with storage: holding the snapshot keeps every one of them
+/// alive at a fixed address.
+using Snapshot = std::shared_ptr<const adm::RecordSet>;
 
 /// Borrowed view over evaluated UDF arguments. Arguments outlive the call
 /// they are passed to; callees must copy anything they retain.
@@ -70,7 +73,8 @@ class IndexProbe {
 struct DatasetChange {
   bool tombstone = false;  // delete
   adm::Value key;          // primary key
-  adm::Value record;       // full stored record; missing for deletes
+  // The full stored record, shared with storage; null for deletes.
+  std::shared_ptr<const adm::Value> record;
 };
 
 /// Resolves dataset names to snapshots and (optionally) live index probes.
@@ -182,9 +186,9 @@ using AccessPathMap = std::unordered_map<const FromClause*, FromAccessPath*>;
 
 /// Lexically scoped variable bindings. Bindings are borrowed pointers; names
 /// are borrowed views into storage that outlives the scope (AST nodes,
-/// function registries, materialized tuples). A handful of inline slots keeps
-/// the common tuple scope malloc-free; BindOwned / Park lazily allocate a
-/// value arena only for scopes that own temporaries.
+/// function registries, a grouped block's variable names). A handful of
+/// inline slots keeps the common tuple scope malloc-free; BindOwned / Park
+/// lazily allocate a value arena only for scopes that own temporaries.
 class Env {
  public:
   explicit Env(const Env* parent = nullptr) : parent_(parent) {}
@@ -298,13 +302,21 @@ class Evaluator {
   EvalStats& stats() { return stats_; }
 
  private:
-  struct MaterializedTuple {
-    std::vector<std::pair<std::string, adm::Value>> bindings;
+  /// One tuple variable of a group member: borrowed when its storage
+  /// outlives the query block (see EvalQuery), else an owned copy.
+  struct MemberSlot {
+    const adm::Value* borrowed = nullptr;
+    adm::Value owned;
+    const adm::Value* get() const { return borrowed != nullptr ? borrowed : &owned; }
   };
   struct GroupContext {
     const std::vector<GroupKey>* keys = nullptr;
     const std::vector<adm::Value>* key_values = nullptr;
-    const std::vector<MaterializedTuple>* members = nullptr;
+    /// Members, flat: `member_count` runs of one slot per `var_names` entry.
+    /// Null outside a grouped context.
+    const std::vector<MemberSlot>* members = nullptr;
+    size_t member_count = 0;
+    const std::vector<std::string>* var_names = nullptr;
     const Env* base_env = nullptr;
   };
 
@@ -377,6 +389,20 @@ class Evaluator {
     ~SatisfiedScope() { ev->satisfied_.resize(mark); }
   };
 
+  /// Keeps the dataset snapshots a grouped block's FROM loop scanned alive
+  /// until the block ends, so its group members can borrow their records.
+  /// Only the FROM loop at `snapshot_pin_depth_` (the grouped block's own)
+  /// pins, and only a snapshot that contributed a group member.
+  struct SnapshotPinScope {
+    Evaluator* ev;
+    size_t mark;
+    int saved_depth;
+    ~SnapshotPinScope() {
+      ev->block_snapshots_.resize(mark);
+      ev->snapshot_pin_depth_ = saved_depth;
+    }
+  };
+
   // Pooled scratch vectors, LIFO by recursion depth (deques keep addresses
   // stable while nested calls grow the pool). When a batch arena is armed,
   // argument vectors come from it instead.
@@ -414,6 +440,9 @@ class Evaluator {
   std::vector<std::pair<const Expr*, uint32_t>> field_pos_;  // field-position memo
   std::vector<PinnedExpr> pinned_;  // candidate-loop invariants (stack)
   std::vector<SatisfiedConjunct> satisfied_;  // path-guaranteed WHERE conjuncts
+  std::vector<Snapshot> block_snapshots_;     // see SnapshotPinScope
+  int snapshot_pin_depth_ = -1;               // depth_ whose FROM loop pins
+  uint64_t group_members_added_ = 0;          // grouped tuples materialized
   // Per-query hoistability analysis, computed once per SelectStatement.
   std::unordered_map<const SelectStatement*, std::vector<const Expr*>> hoistable_;
 };

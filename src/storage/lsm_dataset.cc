@@ -116,7 +116,7 @@ Status LsmDataset::WriteLocked(WalRecordType type, Value record) {
     entry.record = std::make_shared<const Value>(std::move(record));
   }
   if (options_.changelog_capacity > 0) {
-    changelog_.push_back(ChangeSlot{entry.seqno, key, entry.record});
+    changelog_.push_back(DatasetChange{entry.seqno, entry.tombstone(), key, entry.record});
     if (changelog_.size() > options_.changelog_capacity) {
       changelog_evicted_through_ = changelog_.front().seqno;
       changelog_.pop_front();
@@ -161,19 +161,21 @@ Result<Value> LsmDataset::Get(const Value& key) const {
   return *e->record;
 }
 
-std::shared_ptr<const std::vector<Value>> LsmDataset::Scan(uint64_t* seq_out) const {
-  std::shared_lock lock(mu_);
-  ++stats_.scans;
-  if (seq_out != nullptr) *seq_out = next_seqno_ - 1;
-  size_t bound = memtable_.entry_count();
-  for (const auto& comp : components_) bound += comp->size();
-  auto out = std::make_shared<std::vector<Value>>();
-  out->reserve(bound);
-  RunMerger merger = MergeLocked();
-  const Value* key;
-  const RecordEntry* entry;
-  while (merger.Next(&key, &entry)) out->push_back(*entry->record);
-  return out;
+std::shared_ptr<const adm::RecordSet> LsmDataset::Scan(uint64_t* seq_out) const {
+  std::vector<adm::RecordSet::Record> records;
+  {
+    std::shared_lock lock(mu_);
+    ++stats_.scans;
+    if (seq_out != nullptr) *seq_out = next_seqno_ - 1;
+    size_t bound = memtable_.entry_count();
+    for (const auto& comp : components_) bound += comp->size();
+    records.reserve(bound);
+    RunMerger merger = MergeLocked();
+    const Value* key;
+    const RecordEntry* entry;
+    while (merger.Next(&key, &entry)) records.push_back(entry->record);
+  }
+  return std::make_shared<const adm::RecordSet>(std::move(records));
 }
 
 size_t LsmDataset::LiveRecordCount() const {
@@ -205,11 +207,10 @@ Status LsmDataset::ScanDelta(uint64_t from_seq, uint64_t to_seq,
                               std::to_string(from_seq) + " (retained from " +
                               std::to_string(changelog_evicted_through_ + 1) + ")");
   }
-  for (const ChangeSlot& c : changelog_) {
+  for (const DatasetChange& c : changelog_) {
     if (c.seqno <= from_seq) continue;
     if (c.seqno > to_seq) break;
-    out->push_back(DatasetChange{c.seqno, c.record == nullptr, c.key,
-                                 c.record != nullptr ? *c.record : Value()});
+    out->push_back(c);
   }
   return Status::OK();
 }

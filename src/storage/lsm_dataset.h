@@ -14,7 +14,8 @@
 // Each record is stored once: the memtable, the sorted components and the
 // changelog ring share one immutable copy, flush moves the memtable's
 // entries into the new component, and compaction and Scan() are k-way
-// merges over the sorted runs. Readers still receive copies.
+// merges over the sorted runs. Scan() and ScanDelta() hand readers those
+// same shared records; only Get() and the index probes return copies.
 //
 // Thread safety: all public methods are safe for concurrent use
 // (shared_mutex; writers exclusive, readers shared). CurrentSeq() takes no
@@ -30,6 +31,7 @@
 #include <vector>
 
 #include "adm/datatype.h"
+#include "adm/record_set.h"
 #include "adm/value.h"
 #include "common/status.h"
 #include "obs/metrics.h"
@@ -61,7 +63,8 @@ struct DatasetChange {
   uint64_t seqno = 0;
   bool tombstone = false;  // delete
   adm::Value key;          // primary key
-  adm::Value record;       // post-coercion stored record; missing for deletes
+  // The stored (post-coercion) record itself, shared; null for deletes.
+  std::shared_ptr<const adm::Value> record;
 };
 
 struct DatasetStats {
@@ -99,10 +102,11 @@ class LsmDataset {
   /// Point lookup by primary key.
   Result<adm::Value> Get(const adm::Value& key) const;
 
-  /// Consistent snapshot of all live records (key order). When `seq_out` is
-  /// non-null it receives the mutation sequence the snapshot is current
-  /// through, read atomically with the scan.
-  std::shared_ptr<const std::vector<adm::Value>> Scan(uint64_t* seq_out = nullptr) const;
+  /// Consistent snapshot of all live records (key order): the stored records
+  /// themselves, shared, not copies. Later writes never change it. When
+  /// `seq_out` is non-null it receives the mutation sequence the snapshot is
+  /// current through, read atomically with the scan.
+  std::shared_ptr<const adm::RecordSet> Scan(uint64_t* seq_out = nullptr) const;
 
   size_t LiveRecordCount() const;
 
@@ -161,13 +165,6 @@ class LsmDataset {
     std::unique_ptr<RTreeIndex> rtree;
   };
 
-  // One changelog ring slot; the record is shared with the LSM runs.
-  struct ChangeSlot {
-    uint64_t seqno = 0;
-    adm::Value key;
-    std::shared_ptr<const adm::Value> record;  // null for deletes
-  };
-
   // Locked* helpers require mu_ held: exclusively for writes, shared for
   // FindEntryLocked and MergeLocked.
   Status WriteLocked(WalRecordType type, adm::Value record);
@@ -194,10 +191,11 @@ class LsmDataset {
   // next_seqno_ - 1, republished (release) each time next_seqno_ moves, so
   // CurrentSeq() never waits on mu_.
   std::atomic<uint64_t> published_seq_{0};
-  // Bounded changelog ring behind ScanDelta (newest at the back).
+  // Bounded changelog ring behind ScanDelta (newest at the back); its
+  // records are shared with the LSM runs.
   // `changelog_evicted_through_` is the highest seqno dropped off the front;
   // a delta from any base >= that mark is still fully covered by the ring.
-  std::deque<ChangeSlot> changelog_;
+  std::deque<DatasetChange> changelog_;
   uint64_t changelog_evicted_through_ = 0;
   struct AtomicStats {
     std::atomic<uint64_t> inserts{0}, upserts{0}, deletes{0}, point_lookups{0},

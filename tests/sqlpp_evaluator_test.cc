@@ -11,23 +11,36 @@ namespace {
 
 using adm::Value;
 
+/// A snapshot whose records are built from `values`, one record each.
+Snapshot MakeSnapshot(std::vector<Value> values) {
+  std::vector<adm::RecordSet::Record> records;
+  for (Value& v : values) records.push_back(std::make_shared<const Value>(std::move(v)));
+  return std::make_shared<const adm::RecordSet>(std::move(records));
+}
+
 /// In-memory dataset accessor for evaluator tests.
 class MapAccessor : public DatasetAccessor {
  public:
   void Add(const std::string& name, std::vector<Value> records) {
-    data_[name] = std::make_shared<std::vector<Value>>(std::move(records));
+    data_[name] = MakeSnapshot(std::move(records));
   }
+  /// When set, every GetSnapshot call returns freshly built records that
+  /// live only as long as that snapshot, so a reader that keeps a record
+  /// past its snapshot reads freed memory.
+  void set_fresh_records(bool fresh) { fresh_ = fresh; }
   bool HasDataset(const std::string& dataset) const override {
     return data_.count(dataset) > 0;
   }
   Result<Snapshot> GetSnapshot(const std::string& dataset) override {
     auto it = data_.find(dataset);
     if (it == data_.end()) return Status::NotFound(dataset);
-    return Snapshot(it->second);
+    if (!fresh_) return it->second;
+    return MakeSnapshot(std::vector<Value>(it->second->begin(), it->second->end()));
   }
 
  private:
-  std::map<std::string, std::shared_ptr<std::vector<Value>>> data_;
+  std::map<std::string, Snapshot> data_;
+  bool fresh_ = false;
 };
 
 /// Minimal resolver exposing registered SQL++ functions.
@@ -329,6 +342,58 @@ TEST_F(EvaluatorTest, LimitWithoutOrderStopsEarly) {
   EXPECT_EQ(r->size(), 2u);
   // Early exit: not all 5 records were scanned.
   EXPECT_LT(ev.stats().tuples_scanned, 5u);
+}
+
+// Grouped members borrow dataset records and elements of collections bound
+// outside the block, and copy everything else. Whatever the binding source,
+// count(*), sum(...) and count(x.f) must see every member intact.
+TEST_F(EvaluatorTest, GroupByAggregatesOverEveryBindingSource) {
+  accessor_.Add("Items", {J(R"({"id":1,"g":"a","v":10,"o":1})"), J(R"({"id":2,"g":"b","v":20})"),
+                          J(R"({"id":3,"g":"a","v":30,"o":null})"),
+                          J(R"({"id":4,"g":"b","v":40,"o":4})"),
+                          J(R"({"id":5,"g":"a","v":50,"o":5})")});
+  accessor_.Add("Keys", {J(R"({"id":5})"), J(R"({"id":4})"), J(R"({"id":3})"),
+                         J(R"({"id":2})"), J(R"({"id":1})")});
+  const std::string aggs = "SELECT x.g AS g, count(*) AS c, sum(x.v) AS s, count(x.o) AS co ";
+  const std::string tail = " GROUP BY x.g ORDER BY x.g;";
+  const std::vector<std::pair<std::string, std::string>> sources = {
+      {"dataset scan", aggs + "FROM Items x" + tail},
+      {"pre-FROM LET collection",
+       "LET items = (SELECT VALUE i FROM Items i) " + aggs + "FROM items x" + tail},
+      {"FROM expression", aggs + "FROM (SELECT VALUE i FROM Items i) x" + tail},
+      {"post-FROM LET",
+       "SELECT y.g AS g, count(*) AS c, sum(y.v) AS s, count(y.o) AS co FROM Items i "
+       "LET y = {\"g\": i.g, \"v\": i.v, \"o\": i.o} GROUP BY y.g ORDER BY y.g;"},
+      {"inner dataset of a join", aggs + "FROM Keys k, Items x WHERE x.id = k.id" + tail},
+  };
+  for (bool fresh : {false, true}) {
+    accessor_.set_fresh_records(fresh);
+    for (const auto& [source, query] : sources) {
+      SCOPED_TRACE(source + (fresh ? " (fresh records per scan)" : ""));
+      adm::Array rows = Query(query);
+      ASSERT_EQ(rows.size(), 2u);
+      EXPECT_EQ(rows[0], J(R"({"g":"a","c":3,"s":90,"co":2})")) << rows[0].ToString();
+      EXPECT_EQ(rows[1], J(R"({"g":"b","c":2,"s":60,"co":1})")) << rows[1].ToString();
+    }
+    // Implicit aggregation that needs its members (not a pure aggregate list).
+    adm::Array rows = Query("SELECT count(*) + 0 AS c, sum(x.v) AS s FROM Keys k, Items x "
+                            "WHERE x.id = k.id;");
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0], J(R"({"c":5,"s":150})")) << rows[0].ToString();
+  }
+}
+
+// A FROM variable that names an earlier alias iterates that alias's
+// per-tuple value; its elements are copied into the group, not borrowed.
+TEST_F(EvaluatorTest, GroupByOverElementsOfAnEarlierAlias) {
+  adm::Array rows = Query(
+      "LET nested = [[{\"g\":\"a\",\"v\":1}], [{\"g\":\"a\",\"v\":2}, "
+      "{\"g\":\"b\",\"v\":3}]] "
+      "SELECT e.g AS g, count(*) AS c, sum(e.v) AS s FROM nested arr, arr e "
+      "GROUP BY e.g ORDER BY e.g;");
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0], J(R"({"g":"a","c":2,"s":3})")) << rows[0].ToString();
+  EXPECT_EQ(rows[1], J(R"({"g":"b","c":1,"s":3})")) << rows[1].ToString();
 }
 
 }  // namespace

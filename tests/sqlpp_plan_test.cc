@@ -339,6 +339,88 @@ TEST_F(PlanTest, IndexEqualityProbeMatchesScanOnMixedKeys) {
   EXPECT_GT((*indexed)->stats().probe_cache_hits, 0u);
 }
 
+// GROUP BY inside an enrichment body, over each binding source a member can
+// come from. The last source joins through an index nested loop, whose live
+// probe refills one result buffer per outer tuple: members taken from it must
+// be copies. Run with and without the probe memo, against hand-computed
+// answers.
+TEST_F(PlanTest, GroupByMembersSurviveEveryBindingSource) {
+  ASSERT_TRUE(catalog_
+                  .CreateDatatype(adm::Datatype(
+                      "GrpRefType", {{"rid", adm::FieldType::kInt64, false}}))
+                  .ok());
+  ASSERT_TRUE(catalog_
+                  .CreateDatatype(adm::Datatype(
+                      "GrpOuterType", {{"oid", adm::FieldType::kInt64, false}}))
+                  .ok());
+  ASSERT_TRUE(catalog_.CreateDataset("GrpRef", "GrpRefType", "rid").ok());
+  ASSERT_TRUE(catalog_.CreateDataset("GrpOuter", "GrpOuterType", "oid").ok());
+  auto ref = catalog_.FindDataset("GrpRef");
+  auto outer = catalog_.FindDataset("GrpOuter");
+  ASSERT_TRUE(ref->CreateIndex("grpRefK", "k", "btree").ok());
+  for (const char* row : {R"({"rid": 1, "k": 1, "tag": "x", "w": 10, "o": 1})",
+                          R"({"rid": 2, "k": 1, "tag": "y", "w": 20})",
+                          R"({"rid": 3, "k": 2, "tag": "x", "w": 30, "o": 3})",
+                          R"({"rid": 4, "k": 3, "tag": "y", "w": 40, "o": null})",
+                          R"({"rid": 5, "k": 9, "tag": "x", "w": 50, "o": 5})"}) {
+    ASSERT_TRUE(ref->Upsert(adm::ParseJson(row).value()).ok());
+  }
+  for (const char* row : {R"({"oid": 1, "k": 1})", R"({"oid": 2, "k": 2})",
+                          R"({"oid": 3, "k": 3})", R"({"oid": 4, "k": 1})"}) {
+    ASSERT_TRUE(outer->Upsert(adm::ParseJson(row).value()).ok());
+  }
+
+  const std::string aggs =
+      "SELECT r.tag AS tag, count(*) AS c, sum(r.w) AS s, count(r.o) AS co ";
+  const std::string tail = " GROUP BY r.tag ORDER BY r.tag";
+  const std::string over_ref = R"([{"tag": "x", "c": 3, "s": 90, "co": 3},)"
+                               R"( {"tag": "y", "c": 2, "s": 60, "co": 0}])";
+  struct Case {
+    const char* source;
+    std::string query;
+    std::string expect;
+    bool index_join;
+  };
+  const std::vector<Case> cases = {
+      {"dataset scan", aggs + "FROM GrpRef r" + tail, over_ref, false},
+      {"pre-FROM LET collection",
+       "LET rs = (SELECT VALUE g FROM GrpRef g) " + aggs + "FROM rs r" + tail, over_ref,
+       false},
+      {"FROM expression", aggs + "FROM (SELECT VALUE g FROM GrpRef g) r" + tail, over_ref,
+       false},
+      {"post-FROM LET",
+       aggs + "FROM GrpRef g LET r = {\"tag\": g.tag, \"w\": g.w, \"o\": g.o}" + tail,
+       over_ref, false},
+      {"index nested loop in a two-item FROM",
+       aggs + "FROM GrpOuter o, GrpRef r WHERE r.k = o.k" + tail,
+       R"([{"tag": "x", "c": 3, "s": 50, "co": 3},)"
+       R"( {"tag": "y", "c": 3, "s": 80, "co": 0}])",
+       true},
+  };
+  for (bool memo : {true, false}) {
+    PlanConfig config;
+    config.enable_probe_cache = memo;
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(c.source) + (memo ? "" : " (no probe memo)"));
+      auto plan = EnrichmentPlan::Compile(
+          ParseFn("CREATE FUNCTION grp(t) { LET stats = (" + c.query +
+                  ") SELECT VALUE stats };"),
+          &accessor_, &resolver_, config);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      if (c.index_join) {
+        ASSERT_EQ((*plan)->choices().size(), 2u);
+        EXPECT_EQ((*plan)->choices()[1].kind, AccessPathKind::kIndexNestedLoopEq);
+      }
+      ASSERT_TRUE((*plan)->Initialize().ok());
+      for (int round = 0; round < 2; ++round) {
+        auto got = (*plan)->EnrichOne(adm::ParseJson(R"({"id": 1})").value());
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_EQ(*got, adm::ParseJson(c.expect).value()) << got->ToString();
+      }
+    }
+  }
+}
+
 TEST_F(PlanTest, ForkSharesNothingMutable) {
   const auto& uc = workload::GetUseCase(workload::UseCaseId::kSafetyRating);
   SetupUseCase(uc);

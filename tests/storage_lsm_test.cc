@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <map>
 #include <thread>
 
@@ -180,7 +181,8 @@ TEST(LsmDatasetTest, ConcurrentReadersAndWriter) {
 // flushes against a std::map, with a memtable and compaction threshold tiny
 // enough that keys and tombstones spread over several sorted runs and
 // full-merge compactions keep folding them together. Every read path is
-// compared with the model after every step.
+// compared with the model after every step, and snapshots kept from earlier
+// steps must still hold their step's contents at the end.
 void RunModelCheck(uint64_t seed, bool with_index) {
   SCOPED_TRACE("seed " + std::to_string(seed) + (with_index ? " indexed" : ""));
   constexpr int64_t kKeys = 48;
@@ -194,6 +196,7 @@ void RunModelCheck(uint64_t seed, bool with_index) {
     ASSERT_TRUE(ds.CreateIndex("byG", "g", "btree").ok());
   }
   std::map<int64_t, Value> model;
+  std::vector<std::pair<std::shared_ptr<const adm::RecordSet>, std::map<int64_t, Value>>> kept;
   uint64_t seq = 0;
   size_t max_runs = 0;
   Rng rng(seed);
@@ -240,6 +243,12 @@ void RunModelCheck(uint64_t seed, bool with_index) {
     ASSERT_EQ(snap->size(), model.size()) << step;
     size_t i = 0;
     for (const auto& [k, v] : model) ASSERT_EQ((*snap)[i++], v) << step << " key " << k;
+    // Snapshots share the stored records: with no write in between, a second
+    // scan hands out the very same records.
+    auto again = ds.Scan();
+    ASSERT_EQ(again->size(), snap->size()) << step;
+    for (i = 0; i < snap->size(); ++i) ASSERT_EQ(&(*again)[i], &(*snap)[i]) << step;
+    if (step % 100 == 0) kept.emplace_back(snap, model);
     ASSERT_EQ(ds.LiveRecordCount(), model.size()) << step;
     for (int64_t k = 0; k < kKeys; ++k) {
       auto got = ds.Get(Value::MakeInt(k));
@@ -277,8 +286,19 @@ void RunModelCheck(uint64_t seed, bool with_index) {
       auto it = model.find(id);
       EXPECT_EQ(delta[0].tombstone, it == model.end());
       if (it != model.end()) {
-        EXPECT_EQ(delta[0].record, it->second);
+        ASSERT_NE(delta[0].record, nullptr);
+        EXPECT_EQ(*delta[0].record, it->second);
       }
+    }
+  }
+  // Later upserts, deletes, flushes and compactions left every kept
+  // snapshot as it was when taken.
+  for (size_t j = 0; j < kept.size(); ++j) {
+    const auto& [old_snap, old_model] = kept[j];
+    ASSERT_EQ(old_snap->size(), old_model.size()) << "snapshot of step " << j * 100;
+    size_t i = 0;
+    for (const auto& [k, v] : old_model) {
+      ASSERT_EQ((*old_snap)[i++], v) << "snapshot of step " << j * 100 << " key " << k;
     }
   }
   DatasetStats stats = ds.stats();
@@ -392,6 +412,63 @@ TEST(LsmDatasetTest, CurrentSeqPublishesCommittedWrites) {
   }
   writer.join();
   EXPECT_EQ(ds.CurrentSeq(), kWrites);
+  EXPECT_GT(ds.stats().compactions, 0u);
+}
+
+// A scanner holding a few snapshots drops them while the writer upserts,
+// deletes, flushes and compacts: each snapshot stays key-ordered and
+// unchanged until it is dropped, though the runs that produced its records
+// are merged away underneath it. Runs under TSan via tests/run_tsan.sh.
+TEST(LsmDatasetTest, SnapshotsOutliveFlushAndCompaction) {
+  DatasetOptions opts;
+  opts.memtable_bytes = 2048;
+  opts.compaction_threshold = 3;
+  LsmDataset ds("d", SimpleType(), "id", opts);
+  constexpr int64_t kKeys = 97;
+  constexpr int64_t kWrites = 4000;
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int64_t i = 0; i < kWrites; ++i) {
+      ASSERT_TRUE(ds.Upsert(Rec(i % kKeys, "w" + std::to_string(i))).ok());
+      if (i % 7 == 6) {
+        Status st = ds.Delete(Value::MakeInt((i * 3) % kKeys));
+        ASSERT_TRUE(st.ok() || st.IsNotFound()) << st.ToString();
+      }
+      if (i % 50 == 49) {
+        ASSERT_TRUE(ds.FlushMemTable().ok());
+      }
+    }
+    done.store(true);
+  });
+  struct Held {
+    std::shared_ptr<const adm::RecordSet> snap;
+    std::vector<std::string> text;  // the records as first read
+  };
+  auto unchanged = [](const Held& h) {
+    ASSERT_EQ(h.snap->size(), h.text.size());
+    for (size_t i = 0; i < h.text.size(); ++i) ASSERT_EQ((*h.snap)[i].ToString(), h.text[i]);
+  };
+  std::deque<Held> held;
+  size_t scans = 0;
+  do {
+    Held h{ds.Scan(), {}};
+    int64_t prev = -1;
+    for (const Value& rec : *h.snap) {
+      const int64_t id = rec.GetField("id")->AsInt();
+      ASSERT_GT(id, prev);
+      prev = id;
+      h.text.push_back(rec.ToString());
+    }
+    held.push_back(std::move(h));
+    if (held.size() > 4) {
+      unchanged(held.front());
+      held.pop_front();
+    }
+    ++scans;
+  } while (!done.load());
+  writer.join();
+  for (const Held& h : held) unchanged(h);
+  EXPECT_GT(scans, 1u);
   EXPECT_GT(ds.stats().compactions, 0u);
 }
 
