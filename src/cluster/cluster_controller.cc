@@ -27,17 +27,6 @@ Cluster::~Cluster() {
   host_pool_->Stop();
 }
 
-std::vector<runtime::NodeBinding> Cluster::ExecutorBindings(size_t partitions) {
-  std::shared_lock<std::shared_mutex> lock(nodes_mu_);
-  std::vector<runtime::NodeBinding> bindings;
-  bindings.reserve(partitions);
-  for (size_t p = 0; p < partitions; ++p) {
-    NodeController& nc = *nodes_[p % nodes_.size()];
-    bindings.push_back(runtime::NodeBinding{nc.id(), &nc.scheduler()});
-  }
-  return bindings;
-}
-
 size_t Cluster::AddNode() {
   std::unique_lock<std::shared_mutex> lock(nodes_mu_);
   const size_t index = nodes_.size();

@@ -2,16 +2,12 @@
 // Controllers (paper §6.1): it starts jobs, tracks feeds (via the Active
 // Feed Manager in src/feed), and owns the predeployed-job cache.
 //
-// Two execution modes:
-//   * kThreads     — every partitioned task really runs on the persistent
-//                    worker pool of its node (wall-clock timing; integration
-//                    tests / examples).
-//   * kVirtualTime — tasks still execute (on a capped host worker pool) but
-//                    each task's *thread CPU time* is measured and
-//                    node-parallel elapsed time is computed analytically
-//                    together with the CostModel; this is how a 2-core
-//                    container reproduces 24-node scaling shapes. See
-//                    DESIGN.md.
+// Execution mode: ClusterConfig::mode names two clocks, kThreads (wall
+// clock) and kVirtualTime (measured task CPU plus CostModel charges on each
+// node's virtual clock), but nothing reads Cluster::mode() yet. Every feed
+// task runs on its node's worker pool in either mode. Charging the real
+// jobs to the virtual clocks is open work (ROADMAP.md, "One pipeline, two
+// clocks"); MeasureNodeTasks / ParallelStepMicros are its substrate.
 //
 // Execution substrate: every NodeController owns a persistent
 // runtime::TaskScheduler, and the CC owns one more ("cc") for coordination
@@ -29,7 +25,6 @@
 #include "cluster/cost_model.h"
 #include "cluster/membership.h"
 #include "cluster/node_controller.h"
-#include "runtime/job_executor.h"
 #include "runtime/memory_governor.h"
 #include "runtime/predeployed.h"
 #include "runtime/task_scheduler.h"
@@ -100,11 +95,6 @@ class Cluster {
   /// The CC's own pool: feed drivers and invocation coordinators run here so
   /// control loops recycle threads like everything else.
   runtime::TaskScheduler& cc_scheduler() { return *cc_scheduler_; }
-
-  /// Executor bindings for a `partitions`-wide job: partition p runs on node
-  /// p % node_count() with that node's id, so OperatorContext::node_id in
-  /// traces/metrics always matches NodeController::id().
-  std::vector<runtime::NodeBinding> ExecutorBindings(size_t partitions);
 
   /// Aggregate scheduling statistics over every node pool plus the CC pool
   /// (p95s are the max across pools, not a merged distribution).

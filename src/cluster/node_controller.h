@@ -4,9 +4,8 @@
 // the CC), and its memory governor (admission control over memtables +
 // enrichment hash builds, so concurrent feeds degrade instead of OOM). All
 // per-node work — intake adapter loops, computing invocations, storage
-// drains, executor stage instances — runs on the node's scheduler so repeated
-// invocations recycle worker threads instead of spawning fresh ones per
-// batch.
+// drains — runs on the node's scheduler so repeated invocations recycle
+// worker threads instead of spawning fresh ones per batch.
 #pragma once
 
 #include <memory>

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Builds the tree under a sanitizer (ThreadSanitizer by default) and runs the
-# concurrency-heavy test binaries (runtime holders/executor, the worker-pool
+# concurrency-heavy test binaries (runtime frames and holders, the worker-pool
 # scheduler, the three-job feed pipeline, the fault-injection machinery, the
 # observability primitives, the admin server / sampler / flight-recorder
 # telemetry plane, and the LSM dataset's lock-free sequence publication and
