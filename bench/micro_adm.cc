@@ -4,6 +4,7 @@
 
 #include "adm/json.h"
 #include "adm/serde.h"
+#include "feed/feed.h"
 #include "runtime/frame.h"
 #include "workload/tweets.h"
 
@@ -63,10 +64,17 @@ void BM_FrameRoundTrip(benchmark::State& state) {
   std::vector<Value> records;
   idea::workload::TweetGenerator gen({.seed = 2, .country_domain = 100});
   for (int64_t i = 0; i < state.range(0); ++i) records.push_back(gen.NextValue());
+  // The computing job's framing and the storage job's record-at-a-time
+  // view decode, at the feed's default frame size.
+  const size_t frame_bytes = idea::feed::FeedConfig().frame_bytes;
   for (auto _ : state) {
-    idea::runtime::Frame f = idea::runtime::Frame::FromRecords(records);
-    std::vector<Value> out;
-    benchmark::DoNotOptimize(f.Decode(&out));
+    for (const auto& f : idea::runtime::FrameRecords(records, frame_bytes)) {
+      idea::runtime::FrameView view(f);
+      for (size_t i = 0; i < view.size(); ++i) {
+        auto v = view[i].Decode();
+        benchmark::DoNotOptimize(v);
+      }
+    }
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "runtime/frame.h"
 #include "runtime/partition_holder.h"
 #include "sqlpp/enrichment_plan.h"
 #include "sqlpp/parser.h"
@@ -204,7 +205,8 @@ void BM_StorageHolderPushPop(benchmark::State& state) {
   workload::TweetGenerator gen({.seed = 9, .country_domain = 50});
   std::vector<adm::Value> records;
   for (int i = 0; i < 64; ++i) records.push_back(gen.NextValue());
-  runtime::Frame frame = runtime::Frame::FromRecords(records);
+  // One frame holding all 64 records.
+  runtime::Frame frame = runtime::FrameRecords(records, 1u << 20).front();
   for (auto _ : state) {
     benchmark::DoNotOptimize(holder.Push(runtime::Frame(frame)));
     runtime::Frame out;

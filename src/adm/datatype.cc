@@ -52,13 +52,6 @@ const char* FieldTypeName(FieldType t) {
   return "unknown";
 }
 
-const FieldSpec* Datatype::FindField(const std::string& field) const {
-  for (const auto& f : fields_) {
-    if (f.name == field) return &f;
-  }
-  return nullptr;
-}
-
 namespace {
 
 bool TypeMatches(FieldType ft, const Value& v) {

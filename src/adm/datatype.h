@@ -49,7 +49,6 @@ class Datatype {
 
   const std::string& name() const { return name_; }
   const std::vector<FieldSpec>& fields() const { return fields_; }
-  const FieldSpec* FindField(const std::string& field) const;
 
   /// Checks that `record` is an object carrying every non-optional declared
   /// field with a compatible type, coercing convertible representations in

@@ -280,17 +280,6 @@ Result<ComputingInvocation> ComputingJob::RunOnce(const std::string& feed_name,
           if (artifact->plan != nullptr) return artifact->plan->EnrichOne(rec);
           return artifact->native->Evaluate(sqlpp::ArgView(&rec, 1));
         };
-        // Batch arena scope around a record-at-a-time EnrichOne loop:
-        // evaluator temporaries live for the batch and are recycled wholesale.
-        struct BatchScope {
-          sqlpp::EnrichmentPlan* plan;
-          explicit BatchScope(sqlpp::EnrichmentPlan* p) : plan(p) {
-            if (plan != nullptr) plan->BeginBatch();
-          }
-          ~BatchScope() {
-            if (plan != nullptr) plan->EndBatch();
-          }
-        };
         std::vector<adm::Value> enriched;
         if (artifact->plan == nullptr && artifact->native == nullptr) {
           enriched = std::move(parsed);
@@ -299,7 +288,6 @@ Result<ComputingInvocation> ComputingJob::RunOnce(const std::string& feed_name,
             IDEA_RETURN_NOT_OK(refresh());
             double e0 = obs::NowMicros();
             out->reserve(parsed.size());
-            BatchScope scope(artifact->plan.get());
             for (const auto& rec : parsed) {
               IDEA_ASSIGN_OR_RETURN(adm::Value v, enrich_one(rec));
               out->push_back(std::move(v));
@@ -340,7 +328,6 @@ Result<ComputingInvocation> ComputingJob::RunOnce(const std::string& feed_name,
               return refreshed;
             }
             enriched.reserve(parsed.size());
-            BatchScope salvage_scope(artifact->plan.get());
             for (size_t k = 0; k < parsed.size(); ++k) {
               Status rec_status;
               uint32_t attempt = 0;

@@ -9,30 +9,6 @@ void Frame::Append(const adm::Value& record) {
   adm::SerializeValue(record, &buf_);
 }
 
-Status Frame::Decode(std::vector<adm::Value>* out) const {
-  out->reserve(out->size() + offsets_.size());
-  ByteReader reader(buf_.data(), buf_.size());
-  for (size_t i = 0; i < offsets_.size(); ++i) {
-    IDEA_ASSIGN_OR_RETURN(adm::Value v, adm::DeserializeValue(&reader));
-    out->push_back(std::move(v));
-  }
-  if (!reader.AtEnd()) return Status::Corruption("trailing bytes in frame");
-  return Status::OK();
-}
-
-Frame Frame::FromRecords(const std::vector<adm::Value>& records) {
-  Frame f;
-  if (records.empty()) return f;
-  // The first record's serialized size seeds the byte-capacity estimate for
-  // the batch (records of one feed are near-uniform), so the payload vector
-  // grows once instead of log2(n) times.
-  f.Reserve(records.size(), 0);
-  f.Append(records.front());
-  f.Reserve(records.size(), f.byte_size() * records.size());
-  for (size_t i = 1; i < records.size(); ++i) f.Append(records[i]);
-  return f;
-}
-
 RecordView::RecordView(const Frame* frame, size_t index) : frame_(frame) {
   begin_ = frame->offsets_[index];
   end_ = index + 1 < frame->offsets_.size()

@@ -23,9 +23,6 @@ class Frame {
   /// Serializes and appends one record.
   void Append(const adm::Value& record);
 
-  /// Deserializes all records in the frame (appends to `out`).
-  Status Decode(std::vector<adm::Value>* out) const;
-
   /// Pre-sizes the frame for an expected record count / payload size.
   void Reserve(size_t records, size_t bytes) {
     offsets_.reserve(records);
@@ -50,9 +47,6 @@ class Frame {
   void set_lease_id(uint64_t id) { lease_id_ = id; }
   size_t origin_partition() const { return origin_partition_; }
   void set_origin_partition(size_t p) { origin_partition_ = p; }
-
-  /// Builds a frame from a record span.
-  static Frame FromRecords(const std::vector<adm::Value>& records);
 
  private:
   friend class RecordView;

@@ -133,16 +133,10 @@ class EnrichmentPlan {
   /// single-row result collection. Requires a prior Initialize().
   Result<adm::Value> EnrichOne(const adm::Value& record);
 
-  /// Enriches a batch in order, appending to `out`. Runs under a batch
-  /// arena scope: evaluator temporaries are bump-allocated for the lifetime
-  /// of the batch and recycled wholesale afterwards.
+  /// Enriches a batch in order, appending to `out`: an EnrichOne loop,
+  /// output-identical to calling EnrichOne per record. On error, `out` holds
+  /// the records enriched before the failing one.
   Status EnrichBatch(const std::vector<adm::Value>& batch, adm::Array* out);
-
-  /// Opens/closes a batch arena scope around a caller-driven EnrichOne loop
-  /// (the computing job enriches record-at-a-time but batch-at-a-call).
-  /// EnrichBatch manages its own scope; do not nest.
-  void BeginBatch();
-  void EndBatch();
 
   /// Independent instance over the same compiled form (per-partition use).
   std::unique_ptr<EnrichmentPlan> Fork() const;
@@ -170,7 +164,6 @@ class EnrichmentPlan {
   std::vector<std::unique_ptr<PathImpl>> paths_;
   AccessPathMap path_map_;
   std::unique_ptr<Evaluator> evaluator_;
-  adm::Arena batch_arena_;  // batch-lifetime scratch (see BeginBatch)
   PlanStats stats_;
   // idea.eval.<udf>.* registry mirrors (shared across forks of the plan).
   obs::Histogram* init_us_ = nullptr;

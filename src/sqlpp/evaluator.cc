@@ -69,7 +69,6 @@ bool ContainsAggregate(const Expr& e) {
 }
 
 std::vector<Value>* Evaluator::AcquireValueVec() {
-  if (batch_arena_ != nullptr) return batch_arena_->AcquireValueVec();
   if (value_vec_depth_ == value_vec_pool_.size()) value_vec_pool_.emplace_back();
   std::vector<Value>* v = &value_vec_pool_[value_vec_depth_++];
   v->clear();
@@ -77,10 +76,6 @@ std::vector<Value>* Evaluator::AcquireValueVec() {
 }
 
 void Evaluator::ReleaseValueVec(std::vector<Value>* v) {
-  if (batch_arena_ != nullptr) {
-    batch_arena_->ReleaseValueVec(v);
-    return;
-  }
   v->clear();  // drop held values eagerly; capacity is retained
   --value_vec_depth_;
 }
@@ -93,31 +88,6 @@ std::vector<const Value*>* Evaluator::AcquireCandidateVec() {
 }
 
 void Evaluator::ReleaseCandidateVec() { --candidate_depth_; }
-
-const Value* Evaluator::FindField(const Value& obj, const Expr& e) {
-  const adm::Fields& fields = obj.AsObject();
-  uint32_t* hint = nullptr;
-  for (auto& p : field_pos_) {
-    if (p.first == &e) {
-      hint = &p.second;
-      break;
-    }
-  }
-  if (hint == nullptr && field_pos_.size() < 64) {
-    field_pos_.emplace_back(&e, 0);
-    hint = &field_pos_.back().second;
-  }
-  if (hint != nullptr && *hint < fields.size() && fields[*hint].first == e.field) {
-    return &fields[*hint].second;
-  }
-  for (uint32_t i = 0; i < fields.size(); ++i) {
-    if (fields[i].first == e.field) {
-      if (hint != nullptr) *hint = i;
-      return &fields[i].second;
-    }
-  }
-  return nullptr;
-}
 
 Result<const Value*> Evaluator::EvalRef(const Expr& e, Env* env, Value* scratch) {
   // Inside a grouped context, an expression structurally equal to a grouping
@@ -140,8 +110,7 @@ Result<const Value*> Evaluator::EvalRef(const Expr& e, Env* env, Value* scratch)
     }
     case ExprKind::kFieldAccess: {
       IDEA_ASSIGN_OR_RETURN(const Value* base, EvalRef(*e.base, env, scratch));
-      if (!base->IsObject()) return &MissingValue();
-      const Value* f = FindField(*base, e);
+      const Value* f = base->GetField(e.field);
       return f != nullptr ? f : &MissingValue();
     }
     case ExprKind::kIndexAccess: {

@@ -13,11 +13,12 @@
 // (variables, field/index chains, literals) evaluate through EvalRef, which
 // returns borrowed pointers instead of deep-copying Value trees; comparisons,
 // arithmetic, probe keys, and `alias.*` projections all go through it. UDF
-// argument vectors and FROM candidate lists come from per-Evaluator pools
-// (optionally backed by a batch adm::Arena via BeginBatch/EndBatch), and
-// field accesses memoize the field's position per AST node, verified by name
-// before use. All of this is allocation plumbing: results are bit-identical
-// to naive recursive evaluation.
+// argument vectors and FROM candidate lists come from per-Evaluator pools.
+// Two candidate-loop optimizations change cost, never output: implicit
+// single-group aggregates stream instead of materializing members
+// (TryStreamingAggregate), and loop-invariant WHERE subexpressions are
+// evaluated once per outer tuple (PinInvariantWhereSubexprs). Results are
+// bit-identical to naive recursive evaluation.
 #pragma once
 
 #include <array>
@@ -30,7 +31,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "adm/arena.h"
 #include "adm/record_set.h"
 #include "adm/value.h"
 #include "common/status.h"
@@ -291,13 +291,6 @@ class Evaluator {
   Result<adm::Value> CallSqlppFunction(const SqlppFunctionDef& def, ArgView args,
                                        Env* env);
 
-  /// Batch scope: while active, pooled evaluation scratch (argument vectors,
-  /// aggregate item lists) is drawn from `arena` so a whole frame's worth of
-  /// records shares one warmed-up allocation pool. Purely a lifetime
-  /// optimization — results are bit-identical with or without a batch scope.
-  void BeginBatch(adm::Arena* arena) { batch_arena_ = arena; }
-  void EndBatch() { batch_arena_ = nullptr; }
-
   const EvalContext& context() const { return ctx_; }
   EvalStats& stats() { return stats_; }
 
@@ -344,11 +337,6 @@ class Evaluator {
   /// member tuples. Returns true and fills `out` when the shape applies.
   Result<bool> TryStreamingAggregate(const SelectStatement& q, Env* block_env,
                                      adm::Array* out);
-
-  /// Top-level field lookup with a per-AST-node position memo; the memo is a
-  /// hint verified against the field name, so stale entries only cost the
-  /// fallback linear scan.
-  const adm::Value* FindField(const adm::Value& obj, const Expr& e);
 
   /// Names every variable a tuple of `q` binds (FROM aliases + LETs).
   static std::vector<std::string> TupleVarNames(const SelectStatement& q);
@@ -404,8 +392,7 @@ class Evaluator {
   };
 
   // Pooled scratch vectors, LIFO by recursion depth (deques keep addresses
-  // stable while nested calls grow the pool). When a batch arena is armed,
-  // argument vectors come from it instead.
+  // stable while nested calls grow the pool).
   std::vector<adm::Value>* AcquireValueVec();
   void ReleaseValueVec(std::vector<adm::Value>* v);
   std::vector<const adm::Value*>* AcquireCandidateVec();
@@ -432,12 +419,10 @@ class Evaluator {
   std::vector<GroupContext> group_stack_;
   int depth_ = 0;
 
-  adm::Arena* batch_arena_ = nullptr;
   std::deque<std::vector<adm::Value>> value_vec_pool_;
   size_t value_vec_depth_ = 0;
   std::deque<std::vector<const adm::Value*>> candidate_pool_;
   size_t candidate_depth_ = 0;
-  std::vector<std::pair<const Expr*, uint32_t>> field_pos_;  // field-position memo
   std::vector<PinnedExpr> pinned_;  // candidate-loop invariants (stack)
   std::vector<SatisfiedConjunct> satisfied_;  // path-guaranteed WHERE conjuncts
   std::vector<Snapshot> block_snapshots_;     // see SnapshotPinScope

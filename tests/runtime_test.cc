@@ -21,10 +21,11 @@ TEST(FrameTest, AppendDecodeRoundTrip) {
   f.Append(Rec(1, "US"));
   f.Append(Rec(2, "FR"));
   EXPECT_EQ(f.record_count(), 2u);
-  std::vector<Value> out;
-  ASSERT_TRUE(f.Decode(&out).ok());
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[1].GetField("country")->AsString(), "FR");
+  FrameView view(f);
+  ASSERT_EQ(view.size(), 2u);
+  auto second = view[1].Decode();
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second->GetField("country")->AsString(), "FR");
 }
 
 TEST(FrameTest, FrameRecordsSplitsBySize) {
